@@ -9,7 +9,6 @@ observed orders log2(err_coarse / err_fine) between adjacent rows.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,11 +98,10 @@ def exact_final_field(problem: ProblemSpec, grid: SpaceGrid, t: float) -> np.nda
 
 
 def final_errors(problem: ProblemSpec, tgrid, sgrid: SpaceGrid, beta: float,
-                 solver: SolverConfig | None = None,
-                 coeff_mode: str = "auto") -> tuple[float, float, RunReport]:
+                 solver: SolverConfig | None = None
+                 ) -> tuple[float, float, RunReport]:
     """Run one integration and measure (Linf, L2) against the exact field."""
-    u, report = integrate(problem, tgrid, sgrid, beta, solver=solver,
-                          coeff_mode=coeff_mode)
+    u, report = integrate(problem, tgrid, sgrid, beta, solver=solver)
     exact = exact_final_field(problem, sgrid, tgrid.T)
     return linf_error(u, exact), l2_error(u, exact, sgrid), report
 
@@ -136,20 +134,13 @@ def _table(axis, params, errors, meta):
     return ConvergenceTable(axis=axis, rows=rows, meta=meta)
 
 
-def _run_all(params, one_run, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one_run, params))
-    return [one_run(p) for p in params]
-
-
 def _grid_label(gamma):
     return "uniform" if gamma is None else f"gamma={gamma:g}"
 
 
 def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
                    ny: int | None = None, gamma: float | None = None,
-                   solver: SolverConfig | None = None, workers: int = 1,
+                   solver: SolverConfig | None = None,
                    runner=None) -> ConvergenceTable:
     """Refine the step count M at fixed spatial resolution.
 
@@ -168,7 +159,7 @@ def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
         linf, l2, _ = final_errors(problem, tg, sgrid, beta, solver)
         return linf, l2
 
-    errors = _run_all(m_values, one_run, workers)
+    errors = [one_run(m) for m in m_values]
     meta = {"axis": "temporal", "example": problem.name, "beta": f"{beta:.12g}",
             "grid": _grid_label(gamma), "nx": nx, "ny": ny}
     return _table("temporal", m_values, errors, meta)
@@ -176,7 +167,7 @@ def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
 
 def spatial_sweep(problem: ProblemSpec, beta: float, n_values, m_steps: int,
                   gamma: float | None = None,
-                  solver: SolverConfig | None = None, workers: int = 1,
+                  solver: SolverConfig | None = None,
                   runner=None) -> ConvergenceTable:
     """Refine the spatial resolution N = Nx = Ny at fixed step count M.
 
@@ -193,7 +184,7 @@ def spatial_sweep(problem: ProblemSpec, beta: float, n_values, m_steps: int,
         linf, l2, _ = final_errors(problem, tg, sgrid, beta, solver)
         return linf, l2
 
-    errors = _run_all(n_values, one_run, workers)
+    errors = [one_run(n) for n in n_values]
     meta = {"axis": "spatial", "example": problem.name, "beta": f"{beta:.12g}",
             "grid": _grid_label(gamma), "m": m_steps}
     return _table("spatial", n_values, errors, meta)

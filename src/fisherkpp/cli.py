@@ -79,7 +79,6 @@ class RunConfig:
     tol: float = 1e-10
     max_iter: int | None = None
     output: str = "runs"
-    workers: int = 1
     sweep_m: list[int] | None = None
     sweep_n: list[int] | None = None
     betas: list[float] | None = None
@@ -92,11 +91,10 @@ class RunConfig:
         return SolverConfig(kind=self.solver, tol=self.tol, max_iter=self.max_iter)
 
     def canonical(self) -> str:
-        # output path and worker count are venue details, not part of the
-        # experiment identity
+        # the output path is a venue detail, not part of the experiment identity
         parts = []
         for f in fields(self):
-            if f.name in ("output", "workers"):
+            if f.name == "output":
                 continue
             parts.append(f"{f.name}={getattr(self, f.name)!r}")
         return "\n".join(parts)
@@ -118,7 +116,6 @@ _PARSERS = {
     "tol": parse_float,
     "max_iter": int,
     "output": str,
-    "workers": int,
     "sweep_m": _parse_int_list,
     "sweep_n": _parse_int_list,
     "betas": _parse_float_list,
@@ -206,8 +203,6 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
         violations.append(f"solver must be 'cg' or 'direct', got {cfg.solver!r}")
     if cfg.t_final <= 0:
         violations.append(f"t_final must be positive, got {cfg.t_final}")
-    if cfg.workers < 1:
-        violations.append(f"workers must be at least 1, got {cfg.workers}")
     if cfg.betas is not None and any(b <= 1.0 for b in cfg.betas):
         violations.append(f"every beta must exceed 1, got {cfg.betas}")
     if violations:
@@ -275,12 +270,12 @@ def cmd_convergence(cfg: RunConfig) -> int:
             if cfg.sweep_m is not None:
                 table = analysis.temporal_sweep(
                     problem, beta, cfg.sweep_m, cfg.nx, cfg.resolved_ny(),
-                    gamma=gamma, solver=cfg.solver_config(), workers=cfg.workers,
+                    gamma=gamma, solver=cfg.solver_config(),
                 )
             else:
                 table = analysis.spatial_sweep(
                     problem, beta, cfg.sweep_n, cfg.m,
-                    gamma=gamma, solver=cfg.solver_config(), workers=cfg.workers,
+                    gamma=gamma, solver=cfg.solver_config(),
                 )
             label = "uniform" if gamma is None else f"gamma{gamma:g}"
             stem = f"{table.axis}_beta{_beta_label(beta)}_{label}"
@@ -347,14 +342,11 @@ def _add_config_flags(p):
     p.add_argument("--tol", help="linear solver relative tolerance")
     p.add_argument("--max-iter", dest="max_iter", help="linear solver iteration cap")
     p.add_argument("-o", "--output", help="output directory")
-    p.add_argument("--workers", help="concurrent sweep runs")
 
 
 def _overrides(args) -> dict:
-    keys = ("example", "beta", "grid", "gamma", "m", "nx", "ny", "t_final",
-            "solver", "tol", "max_iter", "output", "workers",
-            "sweep_m", "sweep_n", "betas", "grids")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in _PARSERS
+            if getattr(args, k, None) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,19 +28,13 @@ class StepCoefficients:
     beta : float
         Shift parameter, > 1.
     a : (a0, a1, a2)
-        Derivative weights for (u^{n-1}, u^n, u^{n+1}). When ``dt_scaled``
-        is True they are in unit-step form and must be divided by the step
-        size at use sites; otherwise they carry units of 1/time.
+        Derivative weights for (u^{n-1}, u^n, u^{n+1}), in units of 1/time.
     b : (b0, b1)
         Implicit interpolation weights for (u^n, u^{n+1}).
     c : (c0, c1)
         Explicit extrapolation weights for (u^{n-1}, u^n).
     t_eval : float
-        The evaluation time t*. For dt-scaled (uniform) coefficients this
-        is the offset beta in unit-step coordinates; for nonuniform
-        coefficients it is the absolute time.
-    dt_scaled : bool
-        True when ``a`` is in unit-step form (output of uniform_coeffs).
+        The absolute evaluation time t*.
     """
 
     beta: float
@@ -48,7 +42,6 @@ class StepCoefficients:
     b: tuple[float, float]
     c: tuple[float, float]
     t_eval: float
-    dt_scaled: bool
 
 
 def _derivative_weights(d0: float, d1: float, d2: float) -> tuple[float, float, float]:
@@ -67,22 +60,13 @@ def _interp_weights(dl: float, dr: float) -> tuple[float, float]:
 
 
 def uniform_coeffs(beta: float) -> StepCoefficients:
-    """Weights for a uniform step, in unit-step (dt-scaled) form.
+    """Weights for the unit step over the nodes (-1, 0, 1).
 
-    The node offsets from t* are (-1-beta, -beta, 1-beta) in units of the
-    step size; the returned ``a`` must be divided by the actual step at
-    use sites.
+    On a uniform grid with step tau, ``a / tau`` are the derivative
+    weights of every step and t* = t_n + beta * tau; ``b`` and ``c`` do
+    not depend on the step.
     """
-    if beta <= 1.0:
-        raise CoefficientError(f"shift parameter must exceed 1, got beta={beta}")
-    d0, d1, d2 = -1.0 - beta, -beta, 1.0 - beta
-    a = _derivative_weights(d0, d1, d2)
-    b0, b1 = _interp_weights(d1, d2)
-    c0, c1 = _interp_weights(d0, d1)
-    return StepCoefficients(
-        beta=float(beta), a=a, b=(b0, b1), c=(c0, c1), t_eval=float(beta),
-        dt_scaled=True,
-    )
+    return nonuniform_coeffs(-1.0, 0.0, 1.0, beta)
 
 
 def _check_nodes(t_prev: float, t_curr: float, t_next: float, beta: float) -> float:
@@ -97,9 +81,14 @@ def _check_nodes(t_prev: float, t_curr: float, t_next: float, beta: float) -> fl
 
 def vandermonde_condition(t_prev: float, t_curr: float, t_next: float,
                           beta: float) -> float:
-    """1-norm condition number of the 3x3 offset Vandermonde matrix."""
+    """1-norm condition number of the 3x3 offset Vandermonde matrix.
+
+    The offsets from t* are measured in units of the step t_next - t_curr,
+    so the value depends only on the shape of the triple: shifting or
+    scaling all three nodes leaves it unchanged.
+    """
     t_star = _check_nodes(t_prev, t_curr, t_next, beta)
-    d = np.array([t_prev, t_curr, t_next]) - t_star
+    d = (np.array([t_prev, t_curr, t_next]) - t_star) / (t_next - t_curr)
     v = np.vstack([np.ones(3), d, d * d])
     return float(np.linalg.cond(v, 1))
 
@@ -110,13 +99,14 @@ def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float, beta: float,
 
     The shifted evaluation time is t* = t_curr + beta * (t_next - t_curr),
     which reduces to (n + beta) * dt on a uniform grid. The ``a`` weights
-    carry units of 1/time (no further scaling at use sites).
+    carry units of 1/time.
 
     Raises
     ------
     CoefficientError
         For non-monotone nodes, beta <= 1, or a node triple so skewed that
-        the Vandermonde condition number exceeds ``cond_limit``.
+        its step-normalised Vandermonde condition number
+        (``vandermonde_condition``) exceeds ``cond_limit``.
     """
     t_star = _check_nodes(t_prev, t_curr, t_next, beta)
     if vandermonde_condition(t_prev, t_curr, t_next, beta) > cond_limit:
@@ -130,7 +120,6 @@ def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float, beta: float,
     c0, c1 = _interp_weights(d0, d1)
     return StepCoefficients(
         beta=float(beta), a=a, b=(b0, b1), c=(c0, c1), t_eval=t_star,
-        dt_scaled=False,
     )
 
 
@@ -152,5 +141,4 @@ def lagrange_coeffs(t_prev: float, t_curr: float, t_next: float,
     c0 = (t_star - t_curr) / (t_prev - t_curr)
     return StepCoefficients(
         beta=float(beta), a=(a0, a1, a2), b=(b0, b1), c=(c0, c1), t_eval=t_star,
-        dt_scaled=False,
     )

@@ -2,12 +2,13 @@
 
 L is the (negative definite) discrete Laplacian, so the shifted operator
 is symmetric positive definite for sigma, kappa > 0. The workhorse is a
-matrix-free conjugate gradient iteration with Jacobi scaling; a dense
-direct factorization backs it as an oracle on small grids.
+matrix-free conjugate gradient iteration; a dense direct factorization
+backs it as an oracle on small grids.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,18 +35,13 @@ class ShiftedOperator:
             return self.sigma * check_field(v, self.grid)
         return self.sigma * v - self.kappa * apply_laplacian(v, self.grid)
 
-    def diagonal(self) -> float:
-        """Constant diagonal entry, used for Jacobi scaling."""
-        g = self.grid
-        return self.sigma + 2.0 * self.kappa * (1.0 / g.hx**2 + 1.0 / g.hy**2)
-
     def as_dense(self) -> np.ndarray:
         n = self.grid.n_interior
         return self.sigma * np.eye(n) - self.kappa * assemble_dense(self.grid)
 
 
 class SolveFailure(RuntimeError):
-    """CG did not reach the requested tolerance within max_iter.
+    """CG missed the tolerance within max_iter or met a non-finite value.
 
     Carries the best iterate seen and its residual norm.
     """
@@ -66,7 +62,7 @@ class CGResult:
 
 def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
              max_iter: int | None = None, x0: np.ndarray | None = None) -> CGResult:
-    """Jacobi-scaled conjugate gradients to relative residual ``tol``.
+    """Conjugate gradients to relative residual ``tol``.
 
     Parameters
     ----------
@@ -90,7 +86,8 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     Raises
     ------
     SolveFailure
-        If the tolerance is not met within ``max_iter`` iterations.
+        If the tolerance is not met within ``max_iter`` iterations, or the
+        right-hand side or a residual is not finite.
     """
     rhs = check_field(rhs, op.grid)
     if not 0.0 < tol < 1.0:
@@ -103,17 +100,24 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
         return CGResult(x=np.zeros_like(rhs), iterations=0, residuals=[0.0])
 
     x = np.zeros_like(rhs) if x0 is None else check_field(x0, op.grid).copy()
+    if not math.isfinite(b_norm):
+        raise SolveFailure(f"CG right-hand side is not finite (norm {b_norm})",
+                           best_x=x, residual=b_norm, iterations=0)
     r = rhs - op.apply(x)
-    d = op.diagonal()
-    z = r / d
-    rz = float(r @ z)
-    p = z.copy()
+    rr = float(r @ r)
+    p = r.copy()
 
-    res = float(np.linalg.norm(r))
+    res = math.sqrt(rr)
     history = [res]
     best_x, best_res = x.copy(), res
     k = 0
-    while res > tol * b_norm:
+    # a NaN fails every comparison, so "not <=" keeps it in the loop to be caught
+    while not res <= tol * b_norm:
+        if not math.isfinite(res):
+            raise SolveFailure(
+                f"CG residual is not finite after {k} iterations",
+                best_x=best_x, residual=best_res, iterations=k,
+            )
         if k >= max_iter:
             raise SolveFailure(
                 f"CG stalled at relative residual {res / b_norm:.3e} "
@@ -121,17 +125,16 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
                 best_x=best_x, residual=best_res, iterations=k,
             )
         q = op.apply(p)
-        alpha = rz / float(p @ q)
+        alpha = rr / float(p @ q)
         x += alpha * p
         r -= alpha * q
-        res = float(np.linalg.norm(r))
+        rr_new = float(r @ r)
+        res = math.sqrt(rr_new)
         history.append(res)
         if res < best_res:
             best_res, best_x = res, x.copy()
-        z = r / d
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        p = r + (rr_new / rr) * p
+        rr = rr_new
         k += 1
     return CGResult(x=x, iterations=k, residuals=history)
 

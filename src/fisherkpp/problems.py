@@ -142,11 +142,7 @@ PROBLEMS = {"manufactured": example1, "wave": example2}
 
 def source_at_shifted_time(spec: ProblemSpec, coeffs: StepCoefficients,
                            grid: SpaceGrid) -> np.ndarray:
-    """Forcing sampled at the step's shifted time t* on the interior.
-
-    ``coeffs.t_eval`` must be an absolute time, so dt-scaled coefficient
-    sets need their evaluation time resolved first.
-    """
+    """Forcing sampled at the step's shifted time t* on the interior."""
     if spec.source is None:
         return np.zeros(grid.n_interior)
     return eval_interior(spec.source, grid, t=coeffs.t_eval)

@@ -15,12 +15,14 @@ error sits far below the scheme's O(dt^2).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .coeffs import StepCoefficients, nonuniform_coeffs, uniform_coeffs
+# uniform_coeffs is unused here but stays bound: perfbench/tracer.py wraps
+# fisherkpp.stepper.uniform_coeffs by name
+from .coeffs import StepCoefficients, nonuniform_coeffs, uniform_coeffs  # noqa: F401
 from .linsolve import ShiftedOperator, cg_solve, direct_solve_small
 from .problems import ProblemSpec, f_eval, source_at_shifted_time
 from .spatial import SpaceGrid, apply_laplacian, boundary_contribution, eval_interior
@@ -133,20 +135,6 @@ def _rk_init_full(problem, sgrid, t0, t1, u0, rtol, atol):
     return sol.y[:, -1], sol.nfev
 
 
-def _resolve(coeffs: StepCoefficients, t_curr: float, t_next: float) -> StepCoefficients:
-    """Turn dt-scaled coefficients into absolute-time form for this step."""
-    if not coeffs.dt_scaled:
-        return coeffs
-    dt = t_next - t_curr
-    a0, a1, a2 = coeffs.a
-    return replace(
-        coeffs,
-        a=(a0 / dt, a1 / dt, a2 / dt),
-        t_eval=t_curr + coeffs.beta * dt,
-        dt_scaled=False,
-    )
-
-
 def bdf_imex_step(state: SchemeState, coeffs: StepCoefficients,
                   problem: ProblemSpec, sgrid: SpaceGrid,
                   solver: SolverConfig | None = None) -> tuple[np.ndarray, StepStats]:
@@ -156,17 +144,15 @@ def bdf_imex_step(state: SchemeState, coeffs: StepCoefficients,
     solver = solver or SolverConfig()
     nodes = state.tgrid.nodes
     t_curr, t_next = nodes[state.n], nodes[state.n + 1]
-    if not coeffs.dt_scaled:
-        expected = t_curr + coeffs.beta * (t_next - t_curr)
-        if abs(coeffs.t_eval - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValueError(
-                f"coefficients evaluate at t={coeffs.t_eval!r} but step "
-                f"{state.n} expects t={expected!r}"
-            )
-    cf = _resolve(coeffs, t_curr, t_next)
-    a0, a1, a2 = cf.a
-    b0, b1 = cf.b
-    c0, c1 = cf.c
+    expected = t_curr + coeffs.beta * (t_next - t_curr)
+    if abs(coeffs.t_eval - expected) > 1e-9 * max(1.0, abs(expected)):
+        raise ValueError(
+            f"coefficients evaluate at t={coeffs.t_eval!r} but step "
+            f"{state.n} expects t={expected!r}"
+        )
+    a0, a1, a2 = coeffs.a
+    b0, b1 = coeffs.b
+    c0, c1 = coeffs.c
     D, K = problem.D, problem.K
 
     rhs = -a1 * state.u_curr - a0 * state.u_prev
@@ -178,7 +164,7 @@ def bdf_imex_step(state: SchemeState, coeffs: StepCoefficients,
     if K != 0.0:
         rhs += K * f_eval(c1 * state.u_curr + c0 * state.u_prev,
                           problem.nonlinearity)
-    rhs += source_at_shifted_time(problem, cf, sgrid)
+    rhs += source_at_shifted_time(problem, coeffs, sgrid)
 
     op = ShiftedOperator(sigma=a2, kappa=D * b1, grid=sgrid)
     if solver.kind == "direct":
@@ -192,8 +178,8 @@ def bdf_imex_step(state: SchemeState, coeffs: StepCoefficients,
 
 
 def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
-              beta: float, solver: SolverConfig | None = None,
-              coeff_mode: str = "auto") -> tuple[np.ndarray, RunReport]:
+              beta: float, solver: SolverConfig | None = None
+              ) -> tuple[np.ndarray, RunReport]:
     """March from the initial data to t = T.
 
     Parameters
@@ -203,22 +189,19 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
         Shift parameter, > 1.
     solver : SolverConfig, optional
         Implicit-stage solver settings (default: CG at 1e-10).
-    coeff_mode : {"auto", "uniform", "nonuniform"}
-        Coefficient pipeline. "auto" picks the cached uniform weights on
-        uniform grids and per-step weights otherwise; "nonuniform" forces
-        the per-step pipeline even on a uniform grid (the two must agree).
 
     Returns
     -------
     (u_final, RunReport)
         The interior field at t = T and per-step solver diagnostics.
+
+    Raises
+    ------
+    RuntimeError
+        Naming the step and its end time when that step's coefficients,
+        its solve or its result fail; the cause is chained. A non-finite
+        field counts as a failure.
     """
-    if coeff_mode not in ("auto", "uniform", "nonuniform"):
-        raise ValueError(f"unknown coeff_mode {coeff_mode!r}")
-    if coeff_mode == "uniform" and tgrid.kind != "uniform":
-        raise ValueError("uniform coefficient pipeline needs a uniform grid")
-    uniform_path = (tgrid.kind == "uniform") if coeff_mode == "auto" \
-        else coeff_mode == "uniform"
     solver = solver or SolverConfig()
 
     wall0 = time.perf_counter()
@@ -228,17 +211,16 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
         problem, sgrid, nodes[0], nodes[1], u_prev, 1e-10, 1e-10
     )
 
-    base = uniform_coeffs(beta) if uniform_path else None
     report = RunReport(init_nfev=init_nfev)
     for n in range(1, tgrid.M):
-        cf = base if uniform_path else nonuniform_coeffs(
-            nodes[n - 1], nodes[n], nodes[n + 1], beta
-        )
         t_step = time.perf_counter()
         try:
+            cf = nonuniform_coeffs(nodes[n - 1], nodes[n], nodes[n + 1], beta)
             u_next, stats = bdf_imex_step(
                 SchemeState(u_prev, u_curr, n, tgrid), cf, problem, sgrid, solver
             )
+            if not np.isfinite(u_next).all():
+                raise FloatingPointError("the new field is not finite")
         except Exception as exc:
             raise RuntimeError(f"step {n + 1} (t={nodes[n + 1]:g}) failed") from exc
         report.steps.append(StepRecord(

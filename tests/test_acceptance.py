@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, printed as PASS/FAIL lines.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the line-by-line
-report including the per-criterion runtimes.
+report including the per-criterion runtimes. Work done in module
+fixtures is timed where it is built and listed on every line that reads
+it; fixtures are shared, so one fixture's time can show on several lines.
 
 Criteria 1, 2 and 4 check the temporal order, so they measure each
 final field against the exact solution of the method-of-lines system on
@@ -15,6 +17,7 @@ spatial floor |reference - exact| between them.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +28,8 @@ from fisherkpp.coeffs import lagrange_coeffs, nonuniform_coeffs, uniform_coeffs
 from fisherkpp.linsolve import ShiftedOperator, cg_solve, direct_solve_small
 from fisherkpp.problems import example1, example2
 from fisherkpp.spatial import eval_interior
-from fisherkpp.stepper import SchemeState, SolverConfig, bdf_imex_step, integrate
+from fisherkpp.stepper import (SchemeState, SolverConfig, bdf_imex_step,
+                               integrate, rk_init)
 from fisherkpp.timegrid import TimeGrid, graded_grid, uniform_grid
 
 from oracles import (dense_step_oracle, mol_reference, pde_residual,
@@ -36,9 +40,13 @@ BETAS = {"sqrt2": SQRT2, "2": 2.0, "pi": math.pi}
 M_LIST = [10, 20, 40, 80]
 
 
-def report(criterion, violations, elapsed, detail="", notes=()):
+def report(criterion, violations, elapsed, detail="", notes=(), fixtures=()):
+    """One PASS/FAIL line; ``fixtures`` lists (label, seconds) of the
+    module fixtures whose results the criterion reads."""
     status = "PASS" if not violations else "FAIL"
-    print(f"[{status}] criterion {criterion} ({elapsed:.1f}s) {detail}")
+    cost = f"{elapsed:.1f}s" + "".join(f" + {label} {sec:.1f}s"
+                                       for label, sec in fixtures)
+    print(f"[{status}] criterion {criterion} ({cost}) {detail}")
     for note in notes:
         print(f"       {note}")
     for v in violations:
@@ -54,12 +62,14 @@ class SemiDiscreteReference:
     """Method-of-lines solution at t = T for one (problem, N) pair."""
 
     def __init__(self, problem, n):
+        t0 = time.perf_counter()
         self.problem = problem
         self.n = n
         self.sgrid = problem.space_grid(n, n)
         self.u = mol_reference(problem, self.sgrid, rtol=1e-10)
         self.exact = exact_final_field(problem, self.sgrid, problem.T)
         self.floor = linf_error(self.u, self.exact)
+        self.timing = (f"MOL reference N={n}", time.perf_counter() - t0)
 
     def sweep(self, beta, gamma=None):
         """Temporal sweep over M_LIST with errors against the MOL solution.
@@ -104,24 +114,29 @@ def ex1_reference():
 
 @pytest.fixture(scope="module")
 def ex1_uniform_tables(ex1_reference):
-    return {name: ex1_reference.sweep(beta) for name, beta in BETAS.items()}
+    """Uniform-grid sweeps per beta, and the (label, seconds) they took."""
+    t0 = time.perf_counter()
+    tables = {name: ex1_reference.sweep(beta) for name, beta in BETAS.items()}
+    return tables, ("uniform sweeps", time.perf_counter() - t0)
 
 
 def test_criterion_01_temporal_order_example1(ex1_reference, ex1_uniform_tables):
     t0 = time.perf_counter()
+    tables, sweep_timing = ex1_uniform_tables
     violations, notes = [], []
-    for name, (table, vs_exact) in ex1_uniform_tables.items():
+    for name, (table, vs_exact) in tables.items():
         line = ex1_reference.describe(f"beta={name}", table, vs_exact)
         notes.append(line)
         violations += [f"{v} ({line})" for v in
                        order_violations(f"beta={name}", table, 1.7, 2.3)]
     report(1, violations, time.perf_counter() - t0,
            "Example 1 uniform temporal orders at N=64 against the MOL solution",
-           notes)
+           notes, fixtures=(ex1_reference.timing, sweep_timing))
 
 
 def test_criterion_02_temporal_order_graded(ex1_reference, ex1_uniform_tables):
     t0 = time.perf_counter()
+    uniform_tables, sweep_timing = ex1_uniform_tables
     violations, notes = [], []
     for gamma in (0.75, 1.0, 1.5):
         for name, beta in BETAS.items():
@@ -132,7 +147,7 @@ def test_criterion_02_temporal_order_graded(ex1_reference, ex1_uniform_tables):
             violations += [f"{v} ({line})" for v in
                            order_violations(label, table, 1.7, 2.3)]
             if gamma == 0.75:
-                uniform = ex1_uniform_tables[name][0]
+                uniform = uniform_tables[name][0]
                 ratio = table.rows[-1].linf / uniform.rows[-1].linf
                 if not ratio <= 1.5:
                     violations.append(
@@ -141,7 +156,8 @@ def test_criterion_02_temporal_order_graded(ex1_reference, ex1_uniform_tables):
                     )
     report(2, violations, time.perf_counter() - t0,
            "Example 1 graded temporal orders and gamma=3/4 error ratio "
-           "against the MOL solution", notes)
+           "against the MOL solution", notes,
+           fixtures=(ex1_reference.timing, sweep_timing))
 
 
 def test_criterion_03_spatial_order_example1():
@@ -186,7 +202,8 @@ def test_criterion_04_temporal_order_example2(ex2_reference):
         violations += [f"{v} ({line})" for v in
                        order_violations(label, table, 1.6, 2.4)]
     report(4, violations, time.perf_counter() - t0,
-           "Example 2 temporal orders at N=128 against the MOL solution", notes)
+           "Example 2 temporal orders at N=128 against the MOL solution", notes,
+           fixtures=(ex2_reference.timing,))
 
 
 def test_criterion_05_coefficient_consistency():
@@ -242,13 +259,12 @@ def test_criterion_06_discretization_oracle():
             if path == "uniform":
                 tg = uniform_grid(1.0, 10)
                 n = 3
-                cf = uniform_coeffs(2.0)
             else:
                 nodes = np.array([0.0, 0.11, 0.19, 0.34, 0.52, 0.78, 1.0])
                 tg = TimeGrid(T=1.0, M=6, nodes=nodes)
                 n = 2
-                cf = nonuniform_coeffs(nodes[n - 1], nodes[n], nodes[n + 1], 2.0)
             t_prev, t_curr, t_next = tg.nodes[n - 1:n + 2]
+            cf = nonuniform_coeffs(t_prev, t_curr, t_next, 2.0)
             u_prev = eval_interior(p.exact, g, t=t_prev)
             u_curr = eval_interior(p.exact, g, t=t_curr)
             u_next, _ = bdf_imex_step(
@@ -261,7 +277,7 @@ def test_criterion_06_discretization_oracle():
                 violations.append(
                     f"{p.name}/{path}: max gap {gap:.2e} > 1e-11")
     report(6, violations, time.perf_counter() - t0,
-           "one-step dense-oracle agreement, both coefficient paths")
+           "one-step dense-oracle agreement on a uniform and a nonuniform step")
 
 
 def test_criterion_07_linear_solver_oracle():
@@ -356,15 +372,29 @@ def test_supplementary_floor_isolated_temporal_orders():
 
 
 def test_criterion_10_code_path_equivalence():
+    """``integrate`` on a uniform grid against a march with the paper's
+    closed-form uniform weights: a / tau from the unit-step triple and
+    t* = t_n + beta * tau, passed to ``bdf_imex_step`` step by step."""
     t0 = time.perf_counter()
     p = example1()
     g = p.space_grid(32, 32)
     tg = uniform_grid(1.0, 20)
-    ua, _ = integrate(p, tg, g, 2.0, coeff_mode="uniform")
-    ub, _ = integrate(p, tg, g, 2.0, coeff_mode="nonuniform")
-    gap = float(np.abs(ua - ub).max())
+    beta = 2.0
+    ua, _ = integrate(p, tg, g, beta)
+
+    tau = tg.T / tg.M
+    unit = uniform_coeffs(beta)
+    nodes = tg.nodes
+    u_prev = eval_interior(p.initial, g)
+    u_curr = rk_init(p, g, nodes[0], nodes[1], u_prev)
+    for n in range(1, tg.M):
+        cf = replace(unit, a=tuple(w / tau for w in unit.a),
+                     t_eval=nodes[n] + beta * tau)
+        u_next, _ = bdf_imex_step(SchemeState(u_prev, u_curr, n, tg), cf, p, g)
+        u_prev, u_curr = u_curr, u_next
+    gap = float(np.abs(ua - u_curr).max())
     violations = []
     if gap > 1e-12:
         violations.append(f"pipelines differ by {gap:.2e} > 1e-12")
     report(10, violations, time.perf_counter() - t0,
-           f"uniform vs nonuniform pipeline gap {gap:.1e} on a uniform grid")
+           f"integrate vs closed-form uniform march gap {gap:.1e}")

@@ -105,26 +105,11 @@ def test_single_row_sweep_has_no_orders():
     assert table.rows[0].order_inf is None
 
 
-def test_sweep_workers_preserve_order():
-    p = example1()
-    table = temporal_sweep(p, 2.0, [4, 8, 16], 8, workers=3,
-                           runner=lambda m: (1.0 / m**2, 1.0 / m**2))
-    assert [r.param for r in table.rows] == [4, 8, 16]
-    assert table.rows[-1].order_inf == pytest.approx(2.0, abs=1e-12)
-
-
 def test_small_real_sweep_is_deterministic():
     p = example1()
     t1 = temporal_sweep(p, 2.0, [4, 8], 8)
     t2 = temporal_sweep(p, 2.0, [4, 8], 8)
     assert t1.rows == t2.rows
-
-
-def test_parallel_sweep_matches_serial():
-    p = example1()
-    serial = temporal_sweep(p, 2.0, [4, 8], 8, workers=1)
-    parallel = temporal_sweep(p, 2.0, [4, 8], 8, workers=2)
-    assert serial.rows == parallel.rows
 
 
 def test_table_csv_and_plot_data(tmp_path):

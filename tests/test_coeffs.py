@@ -10,6 +10,9 @@ from fisherkpp.coeffs import (
     uniform_coeffs,
     vandermonde_condition,
 )
+from fisherkpp.problems import example1
+from fisherkpp.stepper import integrate
+from fisherkpp.timegrid import graded_grid
 
 # frozen from a 50-digit solve of the three offset Vandermonde systems
 # at (t_prev, t_curr, t_next) = (0, 0.3, 1), beta = sqrt(2)
@@ -44,7 +47,6 @@ def test_uniform_beta2_matches_hand_solution():
     np.testing.assert_allclose(cf.a, (1.5, -4.0, 2.5), atol=1e-14)
     np.testing.assert_allclose(cf.b, (-1.0, 2.0), atol=1e-14)
     np.testing.assert_allclose(cf.c, (-2.0, 3.0), atol=1e-14)
-    assert cf.dt_scaled
     assert cf.t_eval == 2.0
 
 
@@ -78,12 +80,11 @@ def test_nonuniform_matches_frozen_oracle():
     np.testing.assert_allclose(cf.a, NONUNIFORM_CASE["a"], rtol=1e-14)
     np.testing.assert_allclose(cf.b, NONUNIFORM_CASE["b"], rtol=1e-14)
     np.testing.assert_allclose(cf.c, NONUNIFORM_CASE["c"], rtol=1e-14)
-    assert not cf.dt_scaled
 
 
 def test_nonuniform_equals_scaled_uniform_on_equispaced_nodes():
     beta = 1.7
-    for h in (0.25, 1e-3, 10.0):
+    for h in (0.25, 1e-3, 1e-6, 10.0):
         cu = uniform_coeffs(beta)
         cn = nonuniform_coeffs(0.0, h, 2.0 * h, beta)
         np.testing.assert_allclose(cn.a, np.array(cu.a) / h, rtol=1e-12)
@@ -168,3 +169,29 @@ def test_nonuniform_rejects_near_degenerate_triple():
         nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0)
     # the guard is configurable
     nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0, cond_limit=1e40)
+
+
+@pytest.mark.parametrize("nodes, admitted", [
+    ((0.0, 1.0, 2.0), True),
+    ((0.0, 0.3, 1.0), True),
+    ((0.0, 1e-3, 1.0), True),     # condition 4.2e4
+    ((0.0, 1.0, 1.001), False),   # condition 3.0e6
+])
+def test_guard_verdict_invariant_to_shift_and_scale(nodes, admitted):
+    # the guard reads the shape of the triple, not its time scale
+    for s in (1e-8, 1.0, 1e8):
+        triple = [5.0 + s * t for t in nodes]
+        if admitted:
+            nonuniform_coeffs(*triple, 2.0, cond_limit=1e6)
+        else:
+            with pytest.raises(CoefficientError, match="near-degenerate"):
+                nonuniform_coeffs(*triple, 2.0, cond_limit=1e6)
+
+
+def test_integrate_on_tiny_graded_grid():
+    # steps of order 1e-7 pass the guard as readily as steps of order 1
+    p = example1()
+    g = p.space_grid(4, 4)
+    u, report = integrate(p, graded_grid(1e-6, 8, 0.75), g, 2.0)
+    assert np.all(np.isfinite(u))
+    assert len(report.steps) == 7

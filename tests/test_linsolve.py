@@ -80,6 +80,21 @@ def test_nonconvergence_carries_best_iterate():
     assert err.residual > 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_raises_instead_of_returning_warm_start(bad):
+    rng = np.random.default_rng(18)
+    op = operator(7)
+    n = op.grid.n_interior
+    rhs = rng.standard_normal(n)
+    rhs[5] = bad
+    with pytest.raises(SolveFailure, match="not finite"):
+        cg_solve(op, rhs, x0=np.zeros(n))
+    x0 = np.zeros(n)
+    x0[3] = bad
+    with pytest.raises(SolveFailure, match="not finite"):
+        cg_solve(op, rng.standard_normal(n), x0=x0)
+
+
 def test_deterministic_given_same_inputs():
     rng = np.random.default_rng(17)
     op = operator(9)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fisherkpp.coeffs import nonuniform_coeffs, uniform_coeffs
+from fisherkpp.coeffs import CoefficientError, nonuniform_coeffs
+from fisherkpp.linsolve import SolveFailure
 from fisherkpp.problems import (
     PQ_PRODUCT,
     Nonlinearity,
@@ -103,7 +104,8 @@ def test_step_keeps_rest_state():
     g = p.space_grid(7, 7)
     tg = uniform_grid(1.0, 10)
     z = np.zeros(g.n_interior)
-    u2, stats = bdf_imex_step(SchemeState(z, z, 1, tg), uniform_coeffs(2.0), p, g)
+    cf = nonuniform_coeffs(*tg.nodes[:3], 2.0)
+    u2, stats = bdf_imex_step(SchemeState(z, z, 1, tg), cf, p, g)
     assert np.all(u2 == 0.0)
     assert stats.cg_iters == 0
 
@@ -120,10 +122,9 @@ def test_step_pure_extrapolation_limit():
     rng = np.random.default_rng(3)
     u_prev = rng.standard_normal(g.n_interior)
     u_curr = rng.standard_normal(g.n_interior)
-    beta = 1.9
-    u_next, _ = bdf_imex_step(SchemeState(u_prev, u_curr, 1, tg),
-                              uniform_coeffs(beta), p, g)
-    a0, a1, a2 = uniform_coeffs(beta).a
+    cf = nonuniform_coeffs(*tg.nodes[:3], 1.9)
+    u_next, _ = bdf_imex_step(SchemeState(u_prev, u_curr, 1, tg), cf, p, g)
+    a0, a1, a2 = cf.a
     np.testing.assert_allclose(u_next, -(a1 * u_curr + a0 * u_prev) / a2,
                                rtol=1e-10)
 
@@ -180,13 +181,12 @@ def test_step_matches_dense_oracle(problem_fn, path):
     if path == "uniform":
         tg = uniform_grid(1.0, 10)
         n = 3
-        cf = uniform_coeffs(beta)
     else:
         nodes = np.array([0.0, 0.11, 0.19, 0.34, 0.52, 0.78, 1.0])
         tg = TimeGrid(T=1.0, M=6, nodes=nodes)
         n = 2
-        cf = nonuniform_coeffs(nodes[n - 1], nodes[n], nodes[n + 1], beta)
     t_prev, t_curr, t_next = tg.nodes[n - 1], tg.nodes[n], tg.nodes[n + 1]
+    cf = nonuniform_coeffs(t_prev, t_curr, t_next, beta)
 
     u_prev = eval_interior(p.exact, g, t=t_prev)
     u_curr = eval_interior(p.exact, g, t=t_curr)
@@ -232,22 +232,6 @@ def test_integrate_on_graded_grid_is_sane():
     assert report.steps[-1].t == 1.0
 
 
-def test_uniform_and_forced_nonuniform_paths_agree():
-    p = example1()
-    g = p.space_grid(12, 12)
-    tg = uniform_grid(1.0, 8)
-    ua, _ = integrate(p, tg, g, 2.0, coeff_mode="uniform")
-    ub, _ = integrate(p, tg, g, 2.0, coeff_mode="nonuniform")
-    assert np.abs(ua - ub).max() <= 1e-12
-
-
-def test_forcing_uniform_mode_on_graded_grid_rejected():
-    p = example1()
-    g = p.space_grid(8, 8)
-    with pytest.raises(ValueError):
-        integrate(p, graded_grid(1.0, 8, 1.0), g, 2.0, coeff_mode="uniform")
-
-
 def test_integrate_is_deterministic():
     p = example2()
     g = p.space_grid(10, 10)
@@ -266,6 +250,43 @@ def test_integrate_reports_failing_step():
     tg = uniform_grid(1.0, 8)
     with pytest.raises(RuntimeError, match="step 2"):
         integrate(p, tg, g, 2.0, solver=SolverConfig(tol=1e-12, max_iter=1))
+
+
+def test_integrate_names_step_of_bad_coefficients():
+    # (0, 1e-14, 0.5) is a near-degenerate triple for the step to t = 0.5
+    p = example1()
+    g = p.space_grid(6, 6)
+    tg = TimeGrid(T=1.0, M=3, nodes=np.array([0.0, 1e-14, 0.5, 1.0]))
+    with pytest.raises(RuntimeError, match="step 2") as info:
+        integrate(p, tg, g, 2.0)
+    assert isinstance(info.value.__cause__, CoefficientError)
+
+
+def nan_source_after(p, t_bad):
+    """Example with a source that turns NaN for t > t_bad."""
+    def source(x, y, t):
+        value = p.source(x, y, t)
+        return value if t <= t_bad else np.full_like(value, np.nan)
+    return ProblemSpec(**{**p.__dict__, "source": source})
+
+
+def test_integrate_stops_when_solve_meets_nan():
+    # t* of step 4 on M = 8 with beta = 2 is 0.625, the first past 0.5
+    p = nan_source_after(example1(), 0.5)
+    g = p.space_grid(8, 8)
+    with pytest.raises(RuntimeError, match=r"step 4 \(t=0.5\)") as info:
+        integrate(p, uniform_grid(1.0, 8), g, 2.0)
+    assert isinstance(info.value.__cause__, SolveFailure)
+
+
+def test_integrate_stops_on_non_finite_field():
+    # the dense solve passes NaN through; the step's check must stop it
+    p = nan_source_after(example1(), 0.5)
+    g = p.space_grid(8, 8)
+    with pytest.raises(RuntimeError, match=r"step 4 \(t=0.5\)") as info:
+        integrate(p, uniform_grid(1.0, 8), g, 2.0,
+                  solver=SolverConfig(kind="direct"))
+    assert "not finite" in str(info.value.__cause__)
 
 
 def test_report_csv_format(tmp_path):
