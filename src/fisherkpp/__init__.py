@@ -13,22 +13,22 @@ from .analysis import (
     spatial_sweep,
     temporal_sweep,
 )
-from .coeffs import StepCoefficients, lagrange_coeffs, nonuniform_coeffs, uniform_coeffs
+from .coeffs import StepCoefficients, nonuniform_coeffs, uniform_coeffs
 from .linsolve import ShiftedOperator, cg_solve, direct_solve_small
 from .problems import Nonlinearity, ProblemSpec, example1, example2, f_eval
 from .spatial import SpaceGrid, apply_laplacian, assemble_dense, boundary_contribution
-from .stepper import RunReport, SolverConfig, bdf_imex_step, integrate, rk_init
+from .stepper import RunReport, bdf_imex_step, integrate, rk_init
 from .timegrid import TimeGrid, graded_grid, uniform_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceTable", "Nonlinearity", "ProblemSpec", "RunReport",
-    "ShiftedOperator", "SolverConfig", "SpaceGrid", "StepCoefficients",
+    "ShiftedOperator", "SpaceGrid", "StepCoefficients",
     "TimeGrid", "apply_laplacian", "assemble_dense", "bdf_imex_step",
     "boundary_contribution", "cg_solve", "direct_solve_small", "example1",
     "example2", "f_eval", "graded_grid", "integrate", "l2_error",
-    "lagrange_coeffs", "linf_error", "nonuniform_coeffs", "observed_order",
+    "linf_error", "nonuniform_coeffs", "observed_order",
     "rk_init", "spatial_sweep", "temporal_sweep", "uniform_coeffs",
     "uniform_grid",
 ]

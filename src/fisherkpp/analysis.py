@@ -15,7 +15,7 @@ import numpy as np
 
 from .problems import ProblemSpec
 from .spatial import SpaceGrid, eval_interior
-from .stepper import RunReport, SolverConfig, integrate
+from .stepper import RunReport, integrate
 from .timegrid import graded_grid, uniform_grid
 
 
@@ -98,10 +98,9 @@ def exact_final_field(problem: ProblemSpec, grid: SpaceGrid, t: float) -> np.nda
 
 
 def final_errors(problem: ProblemSpec, tgrid, sgrid: SpaceGrid, beta: float,
-                 solver: SolverConfig | None = None
-                 ) -> tuple[float, float, RunReport]:
+                 tol: float = 1e-10) -> tuple[float, float, RunReport]:
     """Run one integration and measure (Linf, L2) against the exact field."""
-    u, report = integrate(problem, tgrid, sgrid, beta, solver=solver)
+    u, report = integrate(problem, tgrid, sgrid, beta, tol=tol)
     exact = exact_final_field(problem, sgrid, tgrid.T)
     return linf_error(u, exact), l2_error(u, exact, sgrid), report
 
@@ -140,7 +139,7 @@ def _grid_label(gamma):
 
 def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
                    ny: int | None = None, gamma: float | None = None,
-                   solver: SolverConfig | None = None,
+                   tol: float = 1e-10,
                    runner=None) -> ConvergenceTable:
     """Refine the step count M at fixed spatial resolution.
 
@@ -156,7 +155,7 @@ def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
             return runner(m)
         tg = uniform_grid(problem.T, m) if gamma is None \
             else graded_grid(problem.T, m, gamma)
-        linf, l2, _ = final_errors(problem, tg, sgrid, beta, solver)
+        linf, l2, _ = final_errors(problem, tg, sgrid, beta, tol)
         return linf, l2
 
     errors = [one_run(m) for m in m_values]
@@ -167,7 +166,7 @@ def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
 
 def spatial_sweep(problem: ProblemSpec, beta: float, n_values, m_steps: int,
                   gamma: float | None = None,
-                  solver: SolverConfig | None = None,
+                  tol: float = 1e-10,
                   runner=None) -> ConvergenceTable:
     """Refine the spatial resolution N = Nx = Ny at fixed step count M.
 
@@ -181,7 +180,7 @@ def spatial_sweep(problem: ProblemSpec, beta: float, n_values, m_steps: int,
         tg = uniform_grid(problem.T, m_steps) if gamma is None \
             else graded_grid(problem.T, m_steps, gamma)
         sgrid = problem.space_grid(n, n)
-        linf, l2, _ = final_errors(problem, tg, sgrid, beta, solver)
+        linf, l2, _ = final_errors(problem, tg, sgrid, beta, tol)
         return linf, l2
 
     errors = [one_run(n) for n in n_values]

@@ -16,10 +16,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import analysis, timegrid
-from .coeffs import lagrange_coeffs, nonuniform_coeffs, uniform_coeffs
+from .coeffs import nonuniform_coeffs, uniform_coeffs
 from .problems import PROBLEMS
 from .spatial import field_to_csv
-from .stepper import SolverConfig, integrate
+from .stepper import integrate
 
 _SYMBOLIC = {"sqrt2": math.sqrt(2.0), "pi": math.pi}
 
@@ -75,9 +75,7 @@ class RunConfig:
     nx: int = 64
     ny: int | None = None
     t_final: float = 1.0
-    solver: str = "cg"
     tol: float = 1e-10
-    max_iter: int | None = None
     output: str = "runs"
     sweep_m: list[int] | None = None
     sweep_n: list[int] | None = None
@@ -86,9 +84,6 @@ class RunConfig:
 
     def resolved_ny(self) -> int:
         return self.nx if self.ny is None else self.ny
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(kind=self.solver, tol=self.tol, max_iter=self.max_iter)
 
     def canonical(self) -> str:
         # the output path is a venue detail, not part of the experiment identity
@@ -112,9 +107,7 @@ _PARSERS = {
     "nx": int,
     "ny": int,
     "t_final": parse_float,
-    "solver": str,
     "tol": parse_float,
-    "max_iter": int,
     "output": str,
     "sweep_m": _parse_int_list,
     "sweep_n": _parse_int_list,
@@ -199,8 +192,6 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
         violations.append("graded grid requires gamma")
     if cfg.gamma is not None and cfg.gamma <= 0:
         violations.append(f"gamma must be positive, got {cfg.gamma}")
-    if cfg.solver not in ("cg", "direct"):
-        violations.append(f"solver must be 'cg' or 'direct', got {cfg.solver!r}")
     if cfg.t_final <= 0:
         violations.append(f"t_final must be positive, got {cfg.t_final}")
     if cfg.betas is not None and any(b <= 1.0 for b in cfg.betas):
@@ -224,8 +215,7 @@ def cmd_run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     header = [f"config={cfg.hash()}"]
 
-    u, report = integrate(problem, tgrid, sgrid, cfg.beta,
-                          solver=cfg.solver_config())
+    u, report = integrate(problem, tgrid, sgrid, cfg.beta, tol=cfg.tol)
     field_to_csv(u, sgrid, out / "field.csv", header_lines=header)
     report.to_csv(out / "report.csv", header_lines=header)
 
@@ -270,12 +260,12 @@ def cmd_convergence(cfg: RunConfig) -> int:
             if cfg.sweep_m is not None:
                 table = analysis.temporal_sweep(
                     problem, beta, cfg.sweep_m, cfg.nx, cfg.resolved_ny(),
-                    gamma=gamma, solver=cfg.solver_config(),
+                    gamma=gamma, tol=cfg.tol,
                 )
             else:
                 table = analysis.spatial_sweep(
                     problem, beta, cfg.sweep_n, cfg.m,
-                    gamma=gamma, solver=cfg.solver_config(),
+                    gamma=gamma, tol=cfg.tol,
                 )
             label = "uniform" if gamma is None else f"gamma{gamma:g}"
             stem = f"{table.axis}_beta{_beta_label(beta)}_{label}"
@@ -307,9 +297,8 @@ def cmd_coeffs(args) -> int:
         nodes = _parse_float_list(args.nodes)
         if len(nodes) != 3:
             raise ConfigError(["--nodes needs exactly three times t0,t1,t2"])
-        fn = lagrange_coeffs if args.route == "lagrange" else nonuniform_coeffs
-        cf = fn(*nodes, args.beta)
-        kind = args.route
+        cf = nonuniform_coeffs(*nodes, args.beta)
+        kind = "vandermonde"
     lines = ["coefficient,value", f"kind,{kind}", f"beta,{cf.beta!r}"]
     for name, val in (("a0", cf.a[0]), ("a1", cf.a[1]), ("a2", cf.a[2]),
                       ("b0", cf.b[0]), ("b1", cf.b[1]),
@@ -338,9 +327,7 @@ def _add_config_flags(p):
     p.add_argument("--nx", help="cells along x")
     p.add_argument("--ny", help="cells along y (default: nx)")
     p.add_argument("--t-final", dest="t_final", help="final time")
-    p.add_argument("--solver", choices=["cg", "direct"])
     p.add_argument("--tol", help="linear solver relative tolerance")
-    p.add_argument("--max-iter", dest="max_iter", help="linear solver iteration cap")
     p.add_argument("-o", "--output", help="output directory")
 
 
@@ -379,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf = sub.add_parser("coeffs", help="dump step coefficients as CSV")
     p_cf.add_argument("--beta", type=parse_float, required=True)
     p_cf.add_argument("--nodes", help="t0,t1,t2 for a nonuniform step")
-    p_cf.add_argument("--route", choices=["vandermonde", "lagrange"],
-                      default="vandermonde")
     p_cf.add_argument("-o", "--output")
     return parser
 

@@ -122,23 +122,3 @@ def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float, beta: float,
         beta=float(beta), a=a, b=(b0, b1), c=(c0, c1), t_eval=t_star,
     )
 
-
-def lagrange_coeffs(t_prev: float, t_curr: float, t_next: float,
-                    beta: float) -> StepCoefficients:
-    """Same weights obtained from Lagrange basis polynomials.
-
-    Cross-check route for nonuniform_coeffs: ``a`` are the derivatives of
-    the three quadratic basis polynomials over (t_prev, t_curr, t_next)
-    evaluated at t*; ``b`` and ``c`` are two-node basis values at t*.
-    """
-    t_star = _check_nodes(t_prev, t_curr, t_next, beta)
-    a0 = (2.0 * t_star - t_curr - t_next) / ((t_prev - t_curr) * (t_prev - t_next))
-    a1 = (2.0 * t_star - t_prev - t_next) / ((t_curr - t_prev) * (t_curr - t_next))
-    a2 = (2.0 * t_star - t_prev - t_curr) / ((t_next - t_prev) * (t_next - t_curr))
-    b1 = (t_star - t_curr) / (t_next - t_curr)
-    b0 = (t_star - t_next) / (t_curr - t_next)
-    c1 = (t_star - t_prev) / (t_curr - t_prev)
-    c0 = (t_star - t_curr) / (t_prev - t_curr)
-    return StepCoefficients(
-        beta=float(beta), a=(a0, a1, a2), b=(b0, b1), c=(c0, c1), t_eval=t_star,
-    )

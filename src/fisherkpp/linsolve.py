@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import DENSE_LIMIT, SpaceGrid, apply_laplacian, assemble_dense, check_field
+from .spatial import SpaceGrid, apply_laplacian, assemble_dense, check_field
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,11 @@ class ShiftedOperator:
             )
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.kappa == 0.0:
-            return self.sigma * check_field(v, self.grid)
         return self.sigma * v - self.kappa * apply_laplacian(v, self.grid)
 
     def as_dense(self) -> np.ndarray:
-        n = self.grid.n_interior
-        return self.sigma * np.eye(n) - self.kappa * assemble_dense(self.grid)
+        lap = assemble_dense(self.grid)  # size-guarded before np.eye allocates
+        return self.sigma * np.eye(lap.shape[0]) - self.kappa * lap
 
 
 class SolveFailure(RuntimeError):
@@ -140,11 +138,6 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
 
 
 def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> np.ndarray:
-    """Dense factorization solve; oracle for grids up to DENSE_LIMIT nodes."""
+    """Dense factorization solve; oracle on grids ``assemble_dense`` accepts."""
     rhs = check_field(rhs, op.grid)
-    if op.grid.n_interior > DENSE_LIMIT:
-        raise ValueError(
-            f"direct solve limited to {DENSE_LIMIT} interior nodes, "
-            f"got {op.grid.n_interior}"
-        )
     return np.linalg.solve(op.as_dense(), rhs)

@@ -34,10 +34,20 @@ class Nonlinearity:
 
 
 def f_eval(u, nl: Nonlinearity):
-    """Pointwise reaction value; accepts scalars or arrays."""
+    """Pointwise reaction value; accepts scalars or arrays.
+
+    A non-integer exponent needs a non-negative base: u for p, 1 - u for
+    q. A value outside that range raises ValueError instead of giving NaN.
+    """
     u = np.asarray(u, dtype=float)
+    if not float(nl.p).is_integer() and u.min() < 0.0:
+        raise ValueError(f"{nl.form}: u**p with non-integer p={nl.p} is "
+                         f"undefined at u={float(u.min())!r} < 0")
     if nl.form == LOGISTIC_P:
         return u * (1.0 - u**nl.p)
+    if not float(nl.q).is_integer() and u.max() > 1.0:
+        raise ValueError(f"{nl.form}: (1 - u)**q with non-integer q={nl.q} is "
+                         f"undefined at u={float(u.max())!r} > 1")
     return u**nl.p * (1.0 - u) ** nl.q
 
 

@@ -9,6 +9,7 @@ eliminated; their influence enters through ``boundary_contribution``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,9 +59,19 @@ class SpaceGrid:
     def ys(self) -> np.ndarray:
         return self.ya + self.hy * np.arange(1, self.ny)
 
+    @cached_property
+    def _meshes(self) -> tuple[np.ndarray, np.ndarray]:
+        X, Y = np.meshgrid(self.xs, self.ys)
+        X.setflags(write=False)
+        Y.setflags(write=False)
+        return X, Y
+
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Interior coordinate arrays X, Y of shape ``self.shape``."""
-        return np.meshgrid(self.xs, self.ys)
+        """Interior coordinate arrays X, Y of shape ``self.shape``.
+
+        Built once per grid and read-only, since every call shares them.
+        """
+        return self._meshes
 
 
 def check_field(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
+from fisherkpp.coeffs import StepCoefficients
 from fisherkpp.problems import f_eval
 
 # 4th-order central differences; h small enough that the stencil error is
@@ -49,6 +50,26 @@ def residual_sample_points(spec, count, seed):
     ys = rng.uniform(ya + pad_y, yb - pad_y, count)
     ts = rng.uniform(0.05, spec.T - 0.05, count)
     return zip(xs, ys, ts)
+
+
+def lagrange_coeffs(t_prev, t_curr, t_next, beta):
+    """Step weights from Lagrange basis polynomials.
+
+    Independent route to ``nonuniform_coeffs``: ``a`` are the derivatives
+    of the three quadratic basis polynomials over (t_prev, t_curr, t_next)
+    evaluated at t*; ``b`` and ``c`` are two-node basis values at t*.
+    """
+    t_star = t_curr + beta * (t_next - t_curr)
+    a0 = (2.0 * t_star - t_curr - t_next) / ((t_prev - t_curr) * (t_prev - t_next))
+    a1 = (2.0 * t_star - t_prev - t_next) / ((t_curr - t_prev) * (t_curr - t_next))
+    a2 = (2.0 * t_star - t_prev - t_curr) / ((t_next - t_prev) * (t_next - t_curr))
+    b1 = (t_star - t_curr) / (t_next - t_curr)
+    b0 = (t_star - t_next) / (t_curr - t_next)
+    c1 = (t_star - t_prev) / (t_curr - t_prev)
+    c0 = (t_star - t_curr) / (t_prev - t_curr)
+    return StepCoefficients(
+        beta=float(beta), a=(a0, a1, a2), b=(b0, b1), c=(c0, c1), t_eval=t_star,
+    )
 
 
 def dense_step_oracle(problem, sgrid, t_prev, t_curr, t_next, beta,

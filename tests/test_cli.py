@@ -29,7 +29,6 @@ def test_minimal_config_fills_defaults(tmp_path):
     cfg = parse_config(write(tmp_path,
         "example = manufactured\nbeta = 2\nm = 40\nnx = 64\nny = 64\n"))
     assert cfg.grid == "uniform"
-    assert cfg.solver == "cg"
     assert cfg.tol == 1e-10
     assert cfg.gamma is None
     assert cfg.m == 40 and cfg.nx == 64 and cfg.resolved_ny() == 64
@@ -182,16 +181,38 @@ def test_cmd_grid_matches_library(tmp_path, capsys):
     np.testing.assert_array_equal(got, graded_grid(1.0, 8, 0.75).nodes)
 
 
-def test_cmd_coeffs_uniform_and_lagrange(tmp_path, capsys):
+def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
     assert run_cli("coeffs", "--beta", "2") == 0
     out = capsys.readouterr().out
     values = dict(line.split(",") for line in out.splitlines()[1:])
     assert float(values["a2"]) == 2.5
     assert float(values["b0"]) == -1.0
-    assert run_cli("coeffs", "--beta", "2", "--nodes", "0,0.5,1",
-                   "--route", "lagrange") == 0
-    out = capsys.readouterr().out
-    assert "kind,lagrange" in out
+    assert run_cli("coeffs", "--beta", "2", "--nodes", "0,0.5,1") == 0
+    # frozen output of the Vandermonde route
+    assert capsys.readouterr().out.splitlines() == [
+        "coefficient,value", "kind,vandermonde", "beta,2.0",
+        "a0,3.0", "a1,-8.0", "a2,5.0", "b0,-1.0", "b1,2.0",
+        "c0,-2.0", "c1,3.0", "t_eval,1.5",
+    ]
+
+
+@pytest.mark.parametrize("line", ["solver = cg", "max_iter = 5"])
+def test_removed_solver_keys_are_unknown(tmp_path, line, capsys):
+    assert run_cli("run", "-c", str(write(tmp_path, line + "\n"))) == 2
+    key = line.split()[0]
+    assert capsys.readouterr().err == f"config error: unknown key {key!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--solver", "direct"),
+    ("run", "--max-iter", "5"),
+    ("coeffs", "--beta", "2", "--nodes", "0,0.5,1", "--route", "lagrange"),
+])
+def test_removed_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_example_exits_2(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from fisherkpp.coeffs import (
     CoefficientError,
-    lagrange_coeffs,
     nonuniform_coeffs,
     uniform_coeffs,
     vandermonde_condition,
@@ -13,6 +12,8 @@ from fisherkpp.coeffs import (
 from fisherkpp.problems import example1
 from fisherkpp.stepper import integrate
 from fisherkpp.timegrid import graded_grid
+
+from oracles import lagrange_coeffs
 
 # frozen from a 50-digit solve of the three offset Vandermonde systems
 # at (t_prev, t_curr, t_next) = (0, 0.3, 1), beta = sqrt(2)

@@ -120,7 +120,7 @@ def test_iterations_grow_under_refinement():
 
 def test_direct_size_guard():
     op = operator(200)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="limited to"):
         direct_solve_small(op, np.zeros(op.grid.n_interior))
 
 

@@ -30,6 +30,23 @@ def test_f_eval_vectorized():
     np.testing.assert_allclose(out, u * (1 - u))
 
 
+@pytest.mark.parametrize("nl, u, match", [
+    (Nonlinearity(LOGISTIC_P, p=0.5), -0.1, r"logistic_p: u\*\*p .*p=0.5.*u=-0.1"),
+    (Nonlinearity(PQ_PRODUCT, p=0.5, q=1), [0.2, -0.1], r"pq_product: u\*\*p .*u=-0.1"),
+    (Nonlinearity(PQ_PRODUCT, p=1, q=0.5), [0.5, 1.1],
+     r"pq_product: \(1 - u\)\*\*q .*q=0.5.*u=1.1"),
+], ids=["logistic-p", "pq-p", "pq-q"])
+def test_f_eval_fractional_power_out_of_range_raises(nl, u, match):
+    with pytest.raises(ValueError, match=match):
+        f_eval(u, nl)
+
+
+def test_f_eval_integer_power_of_negative_is_finite():
+    got = f_eval(-0.1, Nonlinearity(LOGISTIC_P, p=2))
+    assert got == pytest.approx(-0.1 * (1.0 - 0.01))
+    assert np.isfinite(f_eval([-0.1, 1.1], Nonlinearity(PQ_PRODUCT, p=2, q=3))).all()
+
+
 def test_unknown_form_rejected():
     with pytest.raises(ValueError):
         Nonlinearity("cubic")

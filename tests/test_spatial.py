@@ -27,6 +27,21 @@ def test_grid_geometry():
     assert g.ys[-1] == pytest.approx(2.0 - g.hy)
 
 
+def test_meshes_built_once_and_read_only():
+    g = SpaceGrid(-1.0, 3.0, 0.0, 2.0, 8, 5)
+    X, Y = g.meshes()
+    want_x, want_y = np.meshgrid(g.xs, g.ys)
+    np.testing.assert_array_equal(X, want_x)
+    np.testing.assert_array_equal(Y, want_y)
+    assert g.meshes()[0] is X and g.meshes()[1] is Y
+    with pytest.raises(ValueError):
+        X[0, 0] = 7.0
+    # evaluated fields are fresh arrays, never views of the shared mesh
+    u = eval_interior(lambda x, y: x, g)
+    u[0] = 7.0
+    assert X[0, 0] == want_x[0, 0]
+
+
 def test_grid_rejects_degenerate():
     with pytest.raises(ValueError):
         SpaceGrid(0.0, 0.0, 0.0, 1.0, 4, 4)

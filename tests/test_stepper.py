@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fisherkpp.coeffs import CoefficientError, nonuniform_coeffs
-from fisherkpp.linsolve import SolveFailure
+from fisherkpp import stepper
+from fisherkpp.linsolve import CGResult, SolveFailure, direct_solve_small
 from fisherkpp.problems import (
     PQ_PRODUCT,
     Nonlinearity,
@@ -15,8 +16,6 @@ from fisherkpp.problems import (
 from fisherkpp.spatial import eval_interior
 from fisherkpp.stepper import (
     InitializationError,
-    SchemeState,
-    SolverConfig,
     bdf_imex_step,
     integrate,
     rk_init,
@@ -82,6 +81,21 @@ def test_rk_init_rejects_backward_interval():
         rk_init(p, g, 0.5, 0.5, np.zeros(g.n_interior))
 
 
+def test_starter_names_reaction_failure():
+    # u**0.5 is undefined for the negative initial data
+    p = ProblemSpec(
+        name="negative", domain=(0.0, 1.0, 0.0, 1.0), T=1.0, D=1.0, K=1.0,
+        nonlinearity=Nonlinearity("logistic_p", p=0.5),
+        boundary=lambda x, y, t: -0.1, initial=lambda x, y: -0.1,
+    )
+    g = p.space_grid(5, 5)
+    with pytest.raises(InitializationError,
+                       match=r"starter integration failed on \[0.0, 0.25\]") as info:
+        integrate(p, uniform_grid(1.0, 4), g, 2.0)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "p=0.5" in str(info.value.__cause__)
+
+
 def test_rk_init_reports_step_size_underflow():
     # u' = u^2 from a large start blows up inside the interval, driving the
     # adaptive step below machine resolution
@@ -105,9 +119,9 @@ def test_step_keeps_rest_state():
     tg = uniform_grid(1.0, 10)
     z = np.zeros(g.n_interior)
     cf = nonuniform_coeffs(*tg.nodes[:3], 2.0)
-    u2, stats = bdf_imex_step(SchemeState(z, z, 1, tg), cf, p, g)
+    u2, solve = bdf_imex_step(z, z, tg.nodes[1], tg.nodes[2], cf, p, g)
     assert np.all(u2 == 0.0)
-    assert stats.cg_iters == 0
+    assert solve.iterations == 0
 
 
 def test_step_pure_extrapolation_limit():
@@ -123,7 +137,7 @@ def test_step_pure_extrapolation_limit():
     u_prev = rng.standard_normal(g.n_interior)
     u_curr = rng.standard_normal(g.n_interior)
     cf = nonuniform_coeffs(*tg.nodes[:3], 1.9)
-    u_next, _ = bdf_imex_step(SchemeState(u_prev, u_curr, 1, tg), cf, p, g)
+    u_next, _ = bdf_imex_step(u_prev, u_curr, tg.nodes[1], tg.nodes[2], cf, p, g)
     a0, a1, a2 = cf.a
     np.testing.assert_allclose(u_next, -(a1 * u_curr + a0 * u_prev) / a2,
                                rtol=1e-10)
@@ -134,9 +148,9 @@ def test_step_rejects_coefficients_from_wrong_triple():
     g = p.space_grid(6, 6)
     tg = uniform_grid(1.0, 10)
     z = np.zeros(g.n_interior)
-    stale = nonuniform_coeffs(0.5, 0.6, 0.7, 2.0)  # but state.n = 1
+    stale = nonuniform_coeffs(0.5, 0.6, 0.7, 2.0)  # but the step is 0.1 -> 0.2
     with pytest.raises(ValueError, match="expects t="):
-        bdf_imex_step(SchemeState(z, z, 1, tg), stale, p, g)
+        bdf_imex_step(z, z, tg.nodes[1], tg.nodes[2], stale, p, g)
 
 
 def test_step_reproduces_quadratic_in_time_linear_in_space():
@@ -156,16 +170,13 @@ def test_step_reproduces_quadratic_in_time_linear_in_space():
     )
     g = p.space_grid(9, 8)
     nodes = np.array([0.0, 0.07, 0.15, 0.26, 0.5, 0.75, 1.0])
-    tg = TimeGrid(T=1.0, M=6, nodes=nodes)
     for n in (1, 3):
         cf = nonuniform_coeffs(nodes[n - 1], nodes[n], nodes[n + 1], 2.3)
-        state = SchemeState(
+        u_next, _ = bdf_imex_step(
             eval_interior(p.exact, g, t=nodes[n - 1]),
             eval_interior(p.exact, g, t=nodes[n]),
-            n, tg,
+            nodes[n], nodes[n + 1], cf, p, g, tol=1e-13,
         )
-        u_next, _ = bdf_imex_step(state, cf, p, g,
-                                  SolverConfig(tol=1e-13, max_iter=2000))
         np.testing.assert_allclose(
             u_next, eval_interior(p.exact, g, t=nodes[n + 1]), atol=2e-11)
 
@@ -190,8 +201,8 @@ def test_step_matches_dense_oracle(problem_fn, path):
 
     u_prev = eval_interior(p.exact, g, t=t_prev)
     u_curr = eval_interior(p.exact, g, t=t_curr)
-    u_next, _ = bdf_imex_step(SchemeState(u_prev, u_curr, n, tg), cf, p, g,
-                              SolverConfig(kind="direct"))
+    u_next, _ = bdf_imex_step(u_prev, u_curr, t_curr, t_next, cf, p, g,
+                              tol=1e-12)
     oracle = dense_step_oracle(p, g, t_prev, t_curr, t_next, beta,
                                u_prev, u_curr)
     assert np.abs(u_next - oracle).max() <= 1e-11
@@ -244,12 +255,17 @@ def test_integrate_is_deterministic():
             == (sb.step, sb.t, sb.cg_iters, sb.residual)
 
 
-def test_integrate_reports_failing_step():
+def test_integrate_reports_failing_step(monkeypatch):
+    # CG capped at one iteration cannot meet the tolerance on the first step
+    cg_solve = stepper.cg_solve
+    monkeypatch.setattr(stepper, "cg_solve",
+                        lambda op, rhs, **kw: cg_solve(op, rhs, max_iter=1, **kw))
     p = example1()
     g = p.space_grid(16, 16)
     tg = uniform_grid(1.0, 8)
-    with pytest.raises(RuntimeError, match="step 2"):
-        integrate(p, tg, g, 2.0, solver=SolverConfig(tol=1e-12, max_iter=1))
+    with pytest.raises(RuntimeError, match="step 2") as info:
+        integrate(p, tg, g, 2.0, tol=1e-12)
+    assert isinstance(info.value.__cause__, SolveFailure)
 
 
 def test_integrate_names_step_of_bad_coefficients():
@@ -279,13 +295,18 @@ def test_integrate_stops_when_solve_meets_nan():
     assert isinstance(info.value.__cause__, SolveFailure)
 
 
-def test_integrate_stops_on_non_finite_field():
-    # the dense solve passes NaN through; the step's check must stop it
+def test_integrate_stops_on_non_finite_field(monkeypatch):
+    # a solve that passes NaN through, as a dense solve does; the step's
+    # check must stop it
+    def dense_solve(op, rhs, **kw):
+        return CGResult(x=direct_solve_small(op, rhs), iterations=0,
+                        residuals=[0.0])
+
+    monkeypatch.setattr(stepper, "cg_solve", dense_solve)
     p = nan_source_after(example1(), 0.5)
     g = p.space_grid(8, 8)
     with pytest.raises(RuntimeError, match=r"step 4 \(t=0.5\)") as info:
-        integrate(p, uniform_grid(1.0, 8), g, 2.0,
-                  solver=SolverConfig(kind="direct"))
+        integrate(p, uniform_grid(1.0, 8), g, 2.0)
     assert "not finite" in str(info.value.__cause__)
 
 
