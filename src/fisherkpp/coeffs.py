@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class CoefficientError(ValueError):
     """Inadmissible shift or node configuration."""
@@ -81,16 +79,29 @@ def _check_nodes(t_prev: float, t_curr: float, t_next: float, beta: float) -> fl
 
 def vandermonde_condition(t_prev: float, t_curr: float, t_next: float,
                           beta: float) -> float:
-    """1-norm condition number of the 3x3 offset Vandermonde matrix.
+    """1-norm condition number of the 3x3 offset Vandermonde matrix,
+    ||V||_1 * ||V^-1||_1 in closed form.
 
     The offsets from t* are measured in units of the step t_next - t_curr,
     so the value depends only on the shape of the triple: shifting or
     scaling all three nodes leaves it unchanged.
     """
     t_star = _check_nodes(t_prev, t_curr, t_next, beta)
-    d = (np.array([t_prev, t_curr, t_next]) - t_star) / (t_next - t_curr)
-    v = np.vstack([np.ones(3), d, d * d])
-    return float(np.linalg.cond(v, 1))
+    step = t_next - t_curr
+    d = [(t - t_star) / step for t in (t_prev, t_curr, t_next)]
+    # V has columns (1, d_j, d_j^2). Row j of V^-1 holds the monomial
+    # coefficients of the Lagrange basis polynomial
+    #   l_j(x) = (x - d_a)(x - d_b) / w_j,  w_j = (d_j - d_a)(d_j - d_b),
+    # that is (d_a d_b, -(d_a + d_b), 1) / w_j.
+    norm_v = max(1.0 + abs(dj) + dj * dj for dj in d)
+    inv_cols = [0.0, 0.0, 0.0]
+    for j in range(3):
+        da, db = d[j - 1], d[j - 2]
+        w = abs((d[j] - da) * (d[j] - db))
+        inv_cols[0] += abs(da * db) / w
+        inv_cols[1] += abs(da + db) / w
+        inv_cols[2] += 1.0 / w
+    return norm_v * max(inv_cols)
 
 
 def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float, beta: float,

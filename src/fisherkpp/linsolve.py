@@ -107,20 +107,25 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
 
     res = math.sqrt(rr)
     history = [res]
-    best_x, best_res = x.copy(), res
+    # best_x None means the current iterate is the best one: the residual
+    # falls on nearly every iteration, so the best iterate is kept only
+    # when the residual first rises after a new best
+    best_x, best_res = None, res
     k = 0
     # a NaN fails every comparison, so "not <=" keeps it in the loop to be caught
     while not res <= tol * b_norm:
         if not math.isfinite(res):
             raise SolveFailure(
                 f"CG residual is not finite after {k} iterations",
-                best_x=best_x, residual=best_res, iterations=k,
+                best_x=x.copy() if best_x is None else best_x,
+                residual=best_res, iterations=k,
             )
         if k >= max_iter:
             raise SolveFailure(
                 f"CG stalled at relative residual {res / b_norm:.3e} "
                 f"after {k} iterations (target {tol:g})",
-                best_x=best_x, residual=best_res, iterations=k,
+                best_x=x.copy() if best_x is None else best_x,
+                residual=best_res, iterations=k,
             )
         q = op.apply(p)
         alpha = rr / float(p @ q)
@@ -130,7 +135,9 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
         res = math.sqrt(rr_new)
         history.append(res)
         if res < best_res:
-            best_res, best_x = res, x.copy()
+            best_res, best_x = res, None
+        elif best_x is None:
+            best_x = x - alpha * p  # the previous iterate, up to rounding
         p = r + (rr_new / rr) * p
         rr = rr_new
         k += 1

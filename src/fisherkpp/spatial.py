@@ -50,21 +50,20 @@ class SpaceGrid:
     def n_interior(self) -> int:
         return (self.nx - 1) * (self.ny - 1)
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
-        """Interior x coordinates x_i = xa + i * hx, i = 1..Nx-1."""
-        return self.xa + self.hx * np.arange(1, self.nx)
+        """Interior x coordinates x_i = xa + i * hx, i = 1..Nx-1 (read-only)."""
+        return _read_only(self.xa + self.hx * np.arange(1, self.nx))
 
-    @property
+    @cached_property
     def ys(self) -> np.ndarray:
-        return self.ya + self.hy * np.arange(1, self.ny)
+        """Interior y coordinates y_j = ya + j * hy, j = 1..Ny-1 (read-only)."""
+        return _read_only(self.ya + self.hy * np.arange(1, self.ny))
 
     @cached_property
     def _meshes(self) -> tuple[np.ndarray, np.ndarray]:
         X, Y = np.meshgrid(self.xs, self.ys)
-        X.setflags(write=False)
-        Y.setflags(write=False)
-        return X, Y
+        return _read_only(X), _read_only(Y)
 
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         """Interior coordinate arrays X, Y of shape ``self.shape``.
@@ -72,6 +71,11 @@ class SpaceGrid:
         Built once per grid and read-only, since every call shares them.
         """
         return self._meshes
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def check_field(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
@@ -84,9 +88,14 @@ def check_field(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
 
 
 def eval_interior(fn, grid: SpaceGrid, t: float | None = None) -> np.ndarray:
-    """Evaluate fn(x, y[, t]) on the interior nodes, flattened x-fastest."""
-    X, Y = grid.meshes()
-    vals = fn(X, Y) if t is None else fn(X, Y, t)
+    """Evaluate fn(x, y[, t]) on the interior nodes, flattened x-fastest.
+
+    fn receives the coordinates on broadcast axes, x of shape (1, Nx-1)
+    and y of shape (Ny-1, 1), so a separable expression costs O(N)
+    transcendental calls instead of O(N^2).
+    """
+    x, y = grid.xs[None, :], grid.ys[:, None]
+    vals = fn(x, y) if t is None else fn(x, y, t)
     return np.broadcast_to(np.asarray(vals, dtype=float), grid.shape).ravel().copy()
 
 
@@ -106,6 +115,23 @@ def apply_laplacian(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
     out[1:, :] += ay * U[:-1, :]
     out[:-1, :] += ay * U[1:, :]
     return out.ravel()
+
+
+def laplacian_eigenvalues(grid: SpaceGrid) -> np.ndarray:
+    """Spectrum of ``apply_laplacian`` in the type-I sine basis.
+
+    The sine modes sin(i*pi*x/Lx) sin(j*pi*y/Ly) diagonalise the 5-point
+    Laplacian with zero boundary values, so for a field U of shape
+    ``grid.shape``
+
+        apply_laplacian(U) = idstn(lam * dstn(U))
+
+    with ``scipy.fft`` transforms ``type=1, norm="ortho"`` and
+    lam[j-1, i-1] = -(4/hx^2) sin^2(i*pi/(2Nx)) - (4/hy^2) sin^2(j*pi/(2Ny)).
+    """
+    lx = -4.0 / grid.hx**2 * np.sin(np.pi * np.arange(1, grid.nx) / (2 * grid.nx)) ** 2
+    ly = -4.0 / grid.hy**2 * np.sin(np.pi * np.arange(1, grid.ny) / (2 * grid.ny)) ** 2
+    return ly[:, None] + lx[None, :]
 
 
 def boundary_contribution(bc, t: float, grid: SpaceGrid) -> np.ndarray:

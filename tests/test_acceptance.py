@@ -387,7 +387,7 @@ def test_criterion_10_code_path_equivalence():
     unit = uniform_coeffs(beta)
     nodes = tg.nodes
     u_prev = eval_interior(p.initial, g)
-    u_curr = rk_init(p, g, nodes[0], nodes[1], u_prev)
+    u_curr, _ = rk_init(p, g, nodes[0], nodes[1], u_prev)
     for n in range(1, tg.M):
         cf = replace(unit, a=tuple(w / tau for w in unit.a),
                      t_eval=nodes[n] + beta * tau)

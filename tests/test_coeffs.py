@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -170,6 +171,37 @@ def test_nonuniform_rejects_near_degenerate_triple():
         nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0)
     # the guard is configurable
     nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0, cond_limit=1e40)
+
+
+def offset_vandermonde(nodes, beta):
+    t_prev, t_curr, t_next = nodes
+    d = (np.array(nodes) - (t_curr + beta * (t_next - t_curr))) / (t_next - t_curr)
+    return np.vstack([np.ones(3), d, d * d])
+
+
+def test_closed_form_condition_matches_numpy():
+    rng = np.random.default_rng(23)
+    triples = [tuple(np.sort(rng.uniform(-5.0, 5.0, 3))) for _ in range(200)]
+    # near-degenerate, but still where numpy's inverse keeps ten digits
+    triples += [(0.0, 1e-2, 1.0), (0.0, 1e-4, 1.0), (0.0, 0.99, 1.0),
+                (0.0, 1.0 - 1e-6, 1.0), (0.0, 1.0, 1.0 + 1e-6)]
+    for nodes in triples:
+        beta = float(rng.uniform(1.01, 4.0))
+        want = np.linalg.cond(offset_vandermonde(nodes, beta), 1)
+        assert vandermonde_condition(*nodes, beta) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-14])
+def test_closed_form_condition_exact_where_numpy_loses_digits(gap):
+    # numpy's inverse is off by about cond * eps here; the reference is a
+    # 50-digit inverse built from the same floating-point offsets
+    d = offset_vandermonde((0.0, gap, 1.0), 2.0)[1]
+    with mp.workdps(50):
+        dm = [mp.mpf(float(x)) for x in d]
+        vm = mp.matrix([[1, 1, 1], dm, [x * x for x in dm]])
+        norm1 = lambda m: max(sum(abs(m[i, j]) for i in range(3)) for j in range(3))
+        want = float(norm1(vm) * norm1(vm**-1))
+    assert vandermonde_condition(0.0, gap, 1.0, 2.0) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("nodes, admitted", [

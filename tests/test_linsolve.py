@@ -80,6 +80,52 @@ def test_nonconvergence_carries_best_iterate():
     assert err.residual > 0.0
 
 
+def copying_cg(op, rhs, max_iter):
+    """Plain CG that copies every new best iterate: the reference for
+    ``cg_solve``'s iterates and for the best iterate it reports."""
+    x = np.zeros_like(rhs)
+    r = rhs - op.apply(x)
+    p, rr = r.copy(), float(r @ r)
+    best_x, best_res = x.copy(), np.sqrt(rr)
+    history = [best_res]
+    for _ in range(max_iter):
+        q = op.apply(p)
+        alpha = rr / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rr_new = float(r @ r)
+        history.append(np.sqrt(rr_new))
+        if history[-1] < best_res:
+            best_x, best_res = x.copy(), history[-1]
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return x, history, best_x, best_res
+
+
+def test_best_iterate_matches_copying_reference():
+    # with this seed the residual rises on iterations 7 and 8, then falls
+    rng = np.random.default_rng(1)
+    op = operator(16, sigma=1e-6, kappa=1.0)
+    rhs = rng.standard_normal(op.grid.n_interior)
+    rises = 0
+    for cap in range(1, 13):
+        _, history, best_x, best_res = copying_cg(op, rhs, cap)
+        rises += history[-1] > history[-2]
+        with pytest.raises(SolveFailure) as info:
+            cg_solve(op, rhs, tol=1e-14, max_iter=cap)
+        assert info.value.residual == best_res
+        # a best iterate rebuilt as x - alpha * p differs by rounding only
+        np.testing.assert_allclose(info.value.best_x, best_x, rtol=1e-12,
+                                   atol=1e-12 * np.abs(best_x).max())
+    assert rises == 2
+    # the iterates themselves are unchanged
+    x, history, _, _ = copying_cg(op, rhs, 40)
+    out = cg_solve(op, rhs, tol=history[-1] / np.linalg.norm(rhs) * 1.0000001)
+    assert out.iterations == 40
+    assert out.residuals == history
+    assert np.array_equal(out.x, x)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_raises_instead_of_returning_warm_start(bad):
     rng = np.random.default_rng(18)

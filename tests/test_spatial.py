@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.fft import dstn, idstn
 
-from fisherkpp.problems import example2
+from fisherkpp.problems import example1, example2
 from fisherkpp.spatial import (
     SpaceGrid,
     _second_difference_1d,
@@ -10,6 +11,7 @@ from fisherkpp.spatial import (
     boundary_contribution,
     eval_interior,
     field_to_csv,
+    laplacian_eigenvalues,
 )
 
 
@@ -34,12 +36,42 @@ def test_meshes_built_once_and_read_only():
     np.testing.assert_array_equal(X, want_x)
     np.testing.assert_array_equal(Y, want_y)
     assert g.meshes()[0] is X and g.meshes()[1] is Y
-    with pytest.raises(ValueError):
-        X[0, 0] = 7.0
+    assert g.xs is g.xs and g.ys is g.ys
+    for shared in (X, g.xs, g.ys):
+        with pytest.raises(ValueError):
+            shared[0] = 7.0
     # evaluated fields are fresh arrays, never views of the shared mesh
     u = eval_interior(lambda x, y: x, g)
     u[0] = 7.0
     assert X[0, 0] == want_x[0, 0]
+
+
+@pytest.mark.parametrize("problem_fn", [example1, example2])
+@pytest.mark.parametrize("nx, ny", [(16, 16), (48, 48), (24, 20)])
+def test_eval_interior_matches_full_mesh_evaluation(problem_fn, nx, ny):
+    # sampling on broadcast axes must give the very numbers of the mesh
+    p = problem_fn()
+    g = p.space_grid(nx, ny)
+    X, Y = g.meshes()
+    for t in (0.0, 0.37, 1.0):
+        for fn in (p.source, p.exact, p.boundary):
+            if fn is not None:
+                want = np.broadcast_to(fn(X, Y, t), g.shape).ravel()
+                assert np.array_equal(eval_interior(fn, g, t=t), want)
+    assert np.array_equal(eval_interior(p.initial, g),
+                          np.broadcast_to(p.initial(X, Y), g.shape).ravel())
+
+
+def test_laplacian_eigenvalues_diagonalise_the_stencil():
+    g = SpaceGrid(-1.0, 2.5, 0.0, 1.2, 24, 20)
+    lam = laplacian_eigenvalues(g)
+    assert lam.shape == g.shape
+    assert np.all(lam < 0.0)
+    u = np.random.default_rng(3).standard_normal(g.n_interior)
+    spectral = idstn(lam * dstn(u.reshape(g.shape), type=1, norm="ortho"),
+                     type=1, norm="ortho").ravel()
+    want = apply_laplacian(u, g)
+    assert np.abs(spectral - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_grid_rejects_degenerate():

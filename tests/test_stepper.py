@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,10 +16,14 @@ from fisherkpp.problems import (
 )
 from fisherkpp.spatial import eval_interior
 from fisherkpp.stepper import (
+    ETD_STIFFNESS,
     InitializationError,
     bdf_imex_step,
+    etd_init,
     integrate,
+    phi_functions,
     rk_init,
+    start_stiffness,
 )
 from fisherkpp.timegrid import TimeGrid, uniform_grid, graded_grid
 from fisherkpp.analysis import exact_final_field, linf_error
@@ -42,7 +47,7 @@ def quiescent_problem():
 def test_rk_init_keeps_equilibrium():
     p = quiescent_problem()
     g = p.space_grid(8, 8)
-    u1 = rk_init(p, g, 0.0, 0.25, np.zeros(g.n_interior))
+    u1, _ = rk_init(p, g, 0.0, 0.25, np.zeros(g.n_interior))
     assert np.all(u1 == 0.0)
 
 
@@ -56,7 +61,7 @@ def test_rk_init_nodewise_exponential_decay():
     g = p.space_grid(6, 6)
     rng = np.random.default_rng(21)
     u0 = rng.uniform(0.5, 2.0, g.n_interior)
-    u1 = rk_init(p, g, 0.0, 0.8, u0)
+    u1, _ = rk_init(p, g, 0.0, 0.8, u0)
     np.testing.assert_allclose(u1, np.exp(-0.8) * u0, rtol=1e-9)
 
 
@@ -68,7 +73,7 @@ def test_rk_init_reaches_spatial_accuracy_on_manufactured_problem():
     errs = {}
     for n in (8, 16):
         g = p.space_grid(n, n)
-        u1 = rk_init(p, g, 0.0, t1, eval_interior(p.initial, g))
+        u1, _ = rk_init(p, g, 0.0, t1, eval_interior(p.initial, g))
         errs[n] = linf_error(u1, exact_final_field(p, g, t1))
     assert errs[16] <= 2e-6
     assert 3.5 <= errs[8] / errs[16] <= 4.5
@@ -108,6 +113,100 @@ def test_rk_init_reports_step_size_underflow():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InitializationError):
             rk_init(p, g, 0.0, 0.5, np.full(g.n_interior, 1000.0))
+
+
+# ----------------------------------------------------------------- etd_init
+
+@pytest.mark.parametrize("z", [0.0, -1e-12, -1e-3, -0.5, -0.999999, -1.0,
+                               -1.000001, -3.0, -40.0, -1e4, -1e12])
+def test_phi_functions_match_high_precision(z):
+    with mp.workdps(80):  # the closed form cancels 36 digits at z = -1e-12
+        zm = mp.mpf(z)
+        # phi_k(z) = (e^z - sum_{j<k} z^j / j!) / z^k, phi_k(0) = 1/k!
+        want = [1 / mp.factorial(k) if z == 0 else
+                (mp.exp(zm) - sum(zm**j / mp.factorial(j) for j in range(k))) / zm**k
+                for k in (1, 2, 3)]
+    got = phi_functions(np.array([z]))
+    for k in range(3):
+        assert got[k][0] == pytest.approx(float(want[k]), rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("case", ["manufactured-48", "wave-24x20"])
+def test_etd_init_matches_dp5_oracle(case):
+    # the wave case has time-dependent Dirichlet data and hx != hy
+    if case == "manufactured-48":
+        p = example1()
+        g, t0, t1 = p.space_grid(48, 48), 0.0, 1.0 / 6.0
+    else:
+        p = example2()
+        g, t0, t1 = p.space_grid(24, 20), 0.3, 0.55
+    u0 = eval_interior(p.exact, g, t=t0)
+    u_etd, rec = etd_init(p, g, t0, t1, u0)
+    u_dp5, _ = rk_init(p, g, t0, t1, u0, rtol=1e-13, atol=1e-13)
+    assert np.abs(u_etd - u_dp5).max() <= 1e-10
+    assert rec.method == "etdrk4" and rec.estimate <= 1e-9
+    assert rec.nfev == 4 * (2 * rec.substeps - 1)
+
+
+def benchmark_start(problem, n, tgrid):
+    """Stiffness of the first step of a run on an n x n grid."""
+    g = problem.space_grid(n, n)
+    return start_stiffness(problem, g, tgrid.nodes[0], tgrid.nodes[1])
+
+
+def test_start_selection_sides_of_benchmark_intervals():
+    # mms-starter: manufactured N = 48, uniform M = 6 -> ETDRK4
+    rho = benchmark_start(example1(), 48, uniform_grid(1.0, 6))
+    assert rho == pytest.approx(311.3, abs=0.1) and rho > ETD_STIFFNESS
+    # wave-solve: wave N = 160, graded M = 80, gamma 0.75 -> DP5(4)
+    rho = benchmark_start(example2(), 160, graded_grid(1.0, 80, 0.75))
+    assert rho == pytest.approx(0.09, abs=0.01) and rho <= ETD_STIFFNESS
+    # mms-sweep-graded: manufactured N = 16, graded M = 20, 40, 80 -> DP5(4)
+    rhos = [benchmark_start(example1(), 16, graded_grid(1.0, m, 0.75))
+            for m in (20, 40, 80)]
+    assert max(rhos) == pytest.approx(6.6, abs=0.1) and max(rhos) <= ETD_STIFFNESS
+
+
+def test_integrate_reports_the_starter_that_ran():
+    p = example1()
+    _, stiff = integrate(p, uniform_grid(1.0, 4), p.space_grid(32, 32), 2.0)
+    assert stiff.starter.method == "etdrk4"
+    assert stiff.starter.header().startswith("starter=etdrk4 nfev=")
+    assert "substeps=" in stiff.starter.header()
+    p = example2()
+    _, wave = integrate(p, uniform_grid(1.0, 4), p.space_grid(10, 10), 2.0)
+    assert wave.starter.method == "dp54" and wave.starter.substeps is None
+    assert wave.starter.header() == f"starter=dp54 nfev={wave.starter.nfev}"
+
+
+def raising_source(x, y, t):
+    raise ZeroDivisionError("source blew up")
+
+
+@pytest.mark.parametrize("source, cause", [
+    (raising_source, ZeroDivisionError),
+    (lambda x, y, t: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.nan),
+     FloatingPointError),
+])
+def test_etd_starter_names_forcing_failure(source, cause):
+    p = ProblemSpec(**{**example1().__dict__, "source": source})
+    g = p.space_grid(16, 16)
+    tg = uniform_grid(1.0, 2)
+    assert start_stiffness(p, g, 0.0, 0.5) > ETD_STIFFNESS
+    with pytest.raises(InitializationError,
+                       match=r"starter integration failed on \[0.0, 0.5\]") as info:
+        integrate(p, tg, g, 2.0)
+    assert isinstance(info.value.__cause__, cause)
+
+
+def test_etd_starter_reports_estimate_when_substeps_run_out(monkeypatch):
+    monkeypatch.setattr(stepper, "ETD_MAX_SUBSTEPS", 2)
+    p = example1()
+    g = p.space_grid(48, 48)
+    with pytest.raises(InitializationError,
+                       match=r"failed on \[0.0, 0.5\]: ETDRK4 error estimate "
+                             r"\S+ still above target after 2 substeps"):
+        etd_init(p, g, 0.0, 0.5, np.zeros(g.n_interior))
 
 
 # ------------------------------------------------------------ bdf_imex_step
@@ -318,6 +417,7 @@ def test_report_csv_format(tmp_path):
     report.to_csv(path, header_lines=["config=cafe"])
     lines = path.read_text().splitlines()
     assert lines[0] == "# config=cafe"
-    assert lines[1] == "step,t_n,cg_iters,residual,wall_ms"
-    assert len(lines) == 2 + 3  # M - 1 steps
-    assert lines[2].split(",")[0] == "2"
+    assert lines[1] == f"# starter=dp54 nfev={report.starter.nfev}"
+    assert lines[2] == "step,t_n,cg_iters,residual,wall_ms"
+    assert len(lines) == 3 + 3  # M - 1 steps
+    assert lines[3].split(",")[0] == "2"
