@@ -18,7 +18,7 @@ from .linsolve import ShiftedOperator, cg_solve, direct_solve_small
 from .problems import Nonlinearity, ProblemSpec, example1, example2, f_eval
 from .spatial import SpaceGrid, apply_laplacian, assemble_dense, boundary_contribution
 from .stepper import RunReport, bdf_imex_step, integrate, rk_init
-from .timegrid import TimeGrid, graded_grid, uniform_grid
+from .timegrid import TimeGrid, graded_grid, time_grid, uniform_grid
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "boundary_contribution", "cg_solve", "direct_solve_small", "example1",
     "example2", "f_eval", "graded_grid", "integrate", "l2_error",
     "linf_error", "nonuniform_coeffs", "observed_order",
-    "rk_init", "spatial_sweep", "temporal_sweep", "uniform_coeffs",
+    "rk_init", "spatial_sweep", "temporal_sweep", "time_grid", "uniform_coeffs",
     "uniform_grid",
 ]

@@ -48,16 +48,19 @@ def _parse_float_list(text):
 
 
 def _parse_grid_list(text):
-    """grid specs: 'uniform' or 'graded:<gamma>', comma separated."""
+    """grid specs: 'uniform' or 'graded:<gamma>', comma separated.
+
+    Yields the grading exponent of each grid, None for uniform.
+    """
     out = []
     for tok in str(text).split(","):
         tok = tok.strip().lower()
         if not tok:
             continue
         if tok == "uniform":
-            out.append(("uniform", None))
+            out.append(None)
         elif tok.startswith("graded:"):
-            out.append(("graded", parse_float(tok.split(":", 1)[1])))
+            out.append(parse_float(tok.split(":", 1)[1]))
         else:
             raise ValueError(f"bad grid spec {tok!r}")
     return out
@@ -69,18 +72,16 @@ class RunConfig:
 
     example: str = "manufactured"
     beta: float = 2.0
-    grid: str = "uniform"
     gamma: float | None = None
     m: int = 40
     nx: int = 64
     ny: int | None = None
     t_final: float = 1.0
-    tol: float = 1e-10
     output: str = "runs"
     sweep_m: list[int] | None = None
     sweep_n: list[int] | None = None
     betas: list[float] | None = None
-    grids: list[tuple] | None = None
+    grids: list[float | None] | None = None
 
     def resolved_ny(self) -> int:
         return self.nx if self.ny is None else self.ny
@@ -101,13 +102,11 @@ class RunConfig:
 _PARSERS = {
     "example": str,
     "beta": parse_float,
-    "grid": str,
     "gamma": parse_float,
     "m": int,
     "nx": int,
     "ny": int,
     "t_final": parse_float,
-    "tol": parse_float,
     "output": str,
     "sweep_m": _parse_int_list,
     "sweep_n": _parse_int_list,
@@ -145,13 +144,9 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
     of its problems at once.
     """
     raw = read_config_file(file_path) if file_path else {}
-    explicit_grid = "grid" in raw
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        raw[key.lower()] = value
-        if key.lower() == "grid":
-            explicit_grid = True
+        if value is not None:
+            raw[key.lower()] = value
 
     violations = []
     cfg = RunConfig()
@@ -170,10 +165,6 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
         except (TypeError, ValueError) as exc:
             violations.append(f"bad value for {key!r}: {exc}")
 
-    # a gamma implies a graded grid unless the grid kind was given explicitly
-    if cfg.gamma is not None and not explicit_grid:
-        cfg.grid = "graded"
-
     if cfg.example not in PROBLEMS:
         violations.append(
             f"unknown example {cfg.example!r}; choices: {sorted(PROBLEMS)}"
@@ -184,12 +175,6 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
         violations.append(f"M must be at least 2, got {cfg.m}")
     if cfg.nx < 3 or cfg.resolved_ny() < 3:
         violations.append(f"Nx, Ny must be at least 3, got {cfg.nx}, {cfg.resolved_ny()}")
-    if not 0.0 < cfg.tol < 1.0:
-        violations.append(f"tol must lie in (0, 1), got {cfg.tol}")
-    if cfg.grid not in ("uniform", "graded"):
-        violations.append(f"grid must be 'uniform' or 'graded', got {cfg.grid!r}")
-    if cfg.grid == "graded" and cfg.gamma is None:
-        violations.append("graded grid requires gamma")
     if cfg.gamma is not None and cfg.gamma <= 0:
         violations.append(f"gamma must be positive, got {cfg.gamma}")
     if cfg.t_final <= 0:
@@ -201,21 +186,22 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
     return cfg
 
 
-def _time_grid(cfg: RunConfig, m: int):
-    if cfg.grid == "uniform":
-        return timegrid.uniform_grid(cfg.t_final, m)
-    return timegrid.graded_grid(cfg.t_final, m, cfg.gamma)
+def _reject_unused(cfg: RunConfig, keys, use: str) -> None:
+    unused = [key for key in keys if getattr(cfg, key) is not None]
+    if unused:
+        raise ConfigError([f"key {key!r} is not used by {use}" for key in unused])
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    _reject_unused(cfg, ("sweep_m", "sweep_n", "betas", "grids"), "run")
     problem = PROBLEMS[cfg.example](T=cfg.t_final)
     sgrid = problem.space_grid(cfg.nx, cfg.resolved_ny())
-    tgrid = _time_grid(cfg, cfg.m)
+    tgrid = timegrid.time_grid(cfg.t_final, cfg.m, cfg.gamma)
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     header = [f"config={cfg.hash()}"]
 
-    u, report = integrate(problem, tgrid, sgrid, cfg.beta, tol=cfg.tol)
+    u, report = integrate(problem, tgrid, sgrid, cfg.beta)
     field_to_csv(u, sgrid, out / "field.csv", header_lines=header)
     report.to_csv(out / "report.csv", header_lines=header)
 
@@ -244,28 +230,28 @@ def _beta_label(beta: float) -> str:
 def cmd_convergence(cfg: RunConfig) -> int:
     if (cfg.sweep_m is None) == (cfg.sweep_n is None):
         raise ConfigError(["exactly one of sweep_m / sweep_n must be set"])
+    if cfg.sweep_n is not None:
+        _reject_unused(cfg, ("ny",), "a spatial sweep (its grids are square)")
+    if cfg.grids is not None:
+        _reject_unused(cfg, ("gamma",), "convergence with grids")
     problem = PROBLEMS[cfg.example](T=cfg.t_final)
     betas = cfg.betas if cfg.betas is not None else [cfg.beta]
-    grids = cfg.grids if cfg.grids is not None else [
-        (cfg.grid, cfg.gamma if cfg.grid == "graded" else None)
-    ]
+    grids = cfg.grids if cfg.grids is not None else [cfg.gamma]
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     header = [f"config={cfg.hash()}"]
 
     for beta in betas:
-        for kind, gamma in grids:
-            if kind == "graded" and gamma is None:
-                raise ConfigError(["graded grid spec requires gamma"])
+        for gamma in grids:
             if cfg.sweep_m is not None:
                 table = analysis.temporal_sweep(
                     problem, beta, cfg.sweep_m, cfg.nx, cfg.resolved_ny(),
-                    gamma=gamma, tol=cfg.tol,
+                    gamma=gamma,
                 )
             else:
                 table = analysis.spatial_sweep(
                     problem, beta, cfg.sweep_n, cfg.m,
-                    gamma=gamma, tol=cfg.tol,
+                    gamma=gamma,
                 )
             label = "uniform" if gamma is None else f"gamma{gamma:g}"
             stem = f"{table.axis}_beta{_beta_label(beta)}_{label}"
@@ -278,12 +264,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 
 def cmd_grid(args) -> int:
-    if args.kind == "uniform":
-        tg = timegrid.uniform_grid(args.T, args.M)
-    else:
-        if args.gamma is None:
-            raise ConfigError(["graded grid requires --gamma"])
-        tg = timegrid.graded_grid(args.T, args.M, args.gamma)
+    tg = timegrid.time_grid(args.T, args.M, args.gamma)
     lines = ["index,t_n"] + [f"{n},{float(t)!r}" for n, t in enumerate(tg.nodes)]
     _emit(lines, args.output)
     return 0
@@ -321,13 +302,11 @@ def _add_config_flags(p):
     p.add_argument("-c", "--config", help="key = value config file")
     p.add_argument("--example", choices=sorted(PROBLEMS))
     p.add_argument("--beta", help="shift parameter (> 1; sqrt2 and pi accepted)")
-    p.add_argument("--grid", choices=["uniform", "graded"])
     p.add_argument("--gamma", help="grading exponent (implies graded)")
     p.add_argument("-M", "--m", dest="m", help="time step count")
     p.add_argument("--nx", help="cells along x")
     p.add_argument("--ny", help="cells along y (default: nx)")
     p.add_argument("--t-final", dest="t_final", help="final time")
-    p.add_argument("--tol", help="linear solver relative tolerance")
     p.add_argument("-o", "--output", help="output directory")
 
 
@@ -357,10 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list of grid specs: uniform, graded:<gamma>")
 
     p_grid = sub.add_parser("grid", help="dump time grid nodes as CSV")
-    p_grid.add_argument("--kind", choices=["uniform", "graded"], default="uniform")
     p_grid.add_argument("-T", type=parse_float, default=1.0)
     p_grid.add_argument("-M", type=int, required=True)
-    p_grid.add_argument("--gamma", type=parse_float)
+    p_grid.add_argument("--gamma", type=parse_float,
+                        help="grading exponent (implies graded)")
     p_grid.add_argument("-o", "--output")
 
     p_cf = sub.add_parser("coeffs", help="dump step coefficients as CSV")

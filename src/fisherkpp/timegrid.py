@@ -110,3 +110,8 @@ def graded_grid(T: float, M: int, gamma: float) -> TimeGrid:
     y = (M - z) / M
     nodes = T - T * np.tanh(mu * y) / np.tanh(mu)
     return TimeGrid(T=T, M=M, nodes=nodes, gamma=float(gamma))
+
+
+def time_grid(T: float, M: int, gamma: float | None = None) -> TimeGrid:
+    """The uniform grid when ``gamma`` is None, the tanh-graded one otherwise."""
+    return uniform_grid(T, M) if gamma is None else graded_grid(T, M, gamma)

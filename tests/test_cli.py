@@ -28,8 +28,6 @@ def test_parse_float_symbolic():
 def test_minimal_config_fills_defaults(tmp_path):
     cfg = parse_config(write(tmp_path,
         "example = manufactured\nbeta = 2\nm = 40\nnx = 64\nny = 64\n"))
-    assert cfg.grid == "uniform"
-    assert cfg.tol == 1e-10
     assert cfg.gamma is None
     assert cfg.m == 40 and cfg.nx == 64 and cfg.resolved_ny() == 64
 
@@ -50,13 +48,7 @@ def test_small_beta_rejected_with_message(tmp_path):
 def test_gamma_flag_switches_to_graded(tmp_path):
     cfg = parse_config(write(tmp_path, "beta = 2\nm = 8\n"),
                        overrides={"gamma": "0.75"})
-    assert cfg.grid == "graded"
     assert cfg.gamma == 0.75
-
-
-def test_explicit_uniform_beats_gamma(tmp_path):
-    cfg = parse_config(write(tmp_path, "grid = uniform\ngamma = 0.75\n"))
-    assert cfg.grid == "uniform"
 
 
 def test_all_violations_reported_at_once(tmp_path):
@@ -70,12 +62,6 @@ def test_all_violations_reported_at_once(tmp_path):
     assert "unknown key 'wibble'" in text
     assert "fixed by the selected example" in text
     assert len(info.value.violations) >= 5
-
-
-def test_graded_without_gamma_rejected(tmp_path):
-    with pytest.raises(ConfigError) as info:
-        parse_config(write(tmp_path, "grid = graded\n"))
-    assert any("requires gamma" in v for v in info.value.violations)
 
 
 def test_flag_overrides_file(tmp_path):
@@ -174,7 +160,7 @@ def test_cmd_convergence_single_row_has_no_orders(tmp_path):
 
 
 def test_cmd_grid_matches_library(tmp_path, capsys):
-    assert run_cli("grid", "--kind", "graded", "-M", "8", "--gamma", "0.75") == 0
+    assert run_cli("grid", "-M", "8", "--gamma", "0.75") == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == "index,t_n"
     got = [float(r.split(",")[1]) for r in rows[1:]]
@@ -196,7 +182,8 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("line", ["solver = cg", "max_iter = 5"])
+@pytest.mark.parametrize("line", ["solver = cg", "max_iter = 5",
+                                  "grid = graded", "tol = 1e-12"])
 def test_removed_solver_keys_are_unknown(tmp_path, line, capsys):
     assert run_cli("run", "-c", str(write(tmp_path, line + "\n"))) == 2
     key = line.split()[0]
@@ -207,12 +194,42 @@ def test_removed_solver_keys_are_unknown(tmp_path, line, capsys):
     ("run", "--solver", "direct"),
     ("run", "--max-iter", "5"),
     ("coeffs", "--beta", "2", "--nodes", "0,0.5,1", "--route", "lagrange"),
+    ("run", "--grid", "uniform"),
+    ("run", "--tol", "1e-12"),
+    ("grid", "--kind", "graded", "-M", "8", "--gamma", "0.75"),
 ])
 def test_removed_flags_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         run_cli(*argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["betas = 2,pi", "sweep_m = 4,8",
+                                  "sweep_n = 8,16", "grids = uniform"])
+def test_run_rejects_sweep_keys(tmp_path, line, capsys):
+    path = write(tmp_path, f"m = 4\nnx = 8\n{line}\n")
+    assert run_cli("run", "-c", str(path), "-o", str(tmp_path / "out")) == 2
+    key = line.split()[0]
+    assert capsys.readouterr().err == \
+        f"config error: key {key!r} is not used by run\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_spatial_sweep_rejects_ny(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--sweep-n", "8,16", "--ny", "32", "-M", "4",
+                   "-o", str(out)) == 2
+    assert "key 'ny' is not used" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_over_grids_rejects_gamma(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--sweep-m", "4,8", "--nx", "8",
+                   "--grids", "uniform", "--gamma", "0.5", "-o", str(out)) == 2
+    assert "key 'gamma' is not used" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_example_exits_2(capsys):

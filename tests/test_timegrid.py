@@ -2,7 +2,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fisherkpp.timegrid import GridConstructionError, graded_grid, uniform_grid
+from fisherkpp.timegrid import (
+    GridConstructionError,
+    graded_grid,
+    time_grid,
+    uniform_grid,
+)
 
 # direct evaluation of the three grading formulas at 40 digits, frozen
 # (T=1, M=8, gamma=3/4)
@@ -113,3 +118,10 @@ def test_nodes_are_read_only():
     tg = uniform_grid(1.0, 4)
     with pytest.raises(ValueError):
         tg.nodes[0] = 1.0
+
+
+def test_time_grid_picks_the_family_by_gamma():
+    np.testing.assert_array_equal(time_grid(2.0, 8).nodes, uniform_grid(2.0, 8).nodes)
+    graded = time_grid(2.0, 8, 0.75)
+    assert graded.gamma == 0.75
+    np.testing.assert_array_equal(graded.nodes, graded_grid(2.0, 8, 0.75).nodes)
