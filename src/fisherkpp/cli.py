@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import analysis, timegrid
@@ -82,15 +82,19 @@ class RunConfig:
     sweep_n: list[int] | None = None
     betas: list[float] | None = None
     grids: list[float | None] | None = None
+    # keys set by the config file or a flag, so that a subcommand can reject
+    # one it would ignore even when that key has a default
+    given: frozenset[str] = field(default=frozenset(), init=False, compare=False)
 
     def resolved_ny(self) -> int:
         return self.nx if self.ny is None else self.ny
 
     def canonical(self) -> str:
-        # the output path is a venue detail, not part of the experiment identity
+        # the output path is a venue detail, not part of the experiment
+        # identity, and which keys were given does not change the experiment
         parts = []
         for f in fields(self):
-            if f.name == "output":
+            if f.name in ("output", "given"):
                 continue
             parts.append(f"{f.name}={getattr(self, f.name)!r}")
         return "\n".join(parts)
@@ -150,6 +154,7 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
 
     violations = []
     cfg = RunConfig()
+    cfg.given = frozenset(raw)
     for key, value in raw.items():
         if key in _LOCKED_KEYS:
             violations.append(
@@ -187,7 +192,7 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
 
 
 def _reject_unused(cfg: RunConfig, keys, use: str) -> None:
-    unused = [key for key in keys if getattr(cfg, key) is not None]
+    unused = [key for key in keys if key in cfg.given]
     if unused:
         raise ConfigError([f"key {key!r} is not used by {use}" for key in unused])
 
@@ -230,8 +235,13 @@ def _beta_label(beta: float) -> str:
 def cmd_convergence(cfg: RunConfig) -> int:
     if (cfg.sweep_m is None) == (cfg.sweep_n is None):
         raise ConfigError(["exactly one of sweep_m / sweep_n must be set"])
-    if cfg.sweep_n is not None:
-        _reject_unused(cfg, ("ny",), "a spatial sweep (its grids are square)")
+    if cfg.sweep_m is not None:
+        _reject_unused(cfg, ("m",), "a temporal sweep (sweep_m sets M)")
+    else:
+        _reject_unused(cfg, ("nx", "ny"),
+                       "a spatial sweep (sweep_n sets its square grids)")
+    if cfg.betas is not None:
+        _reject_unused(cfg, ("beta",), "convergence with betas")
     if cfg.grids is not None:
         _reject_unused(cfg, ("gamma",), "convergence with grids")
     problem = PROBLEMS[cfg.example](T=cfg.t_final)

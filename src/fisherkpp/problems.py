@@ -59,6 +59,11 @@ class ProblemSpec:
     ``initial(x, y)`` the starting state, ``source(x, y, t)`` an optional
     forcing, and ``exact(x, y, t)`` an optional reference solution for
     error measurement.
+
+    The lifting calls ``boundary`` once per evaluation time, with x and y
+    equal-shape 1D arrays holding the coordinates of the whole boundary
+    ring (``SpaceGrid.boundary_ring``); it returns values of that shape
+    or a scalar.
     """
 
     name: str

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,41 @@ class SpaceGrid:
         """
         return self._meshes
 
+    @cached_property
+    def boundary_ring(self) -> BoundaryRing:
+        """The Dirichlet neighbours of the interior, built once per grid.
+
+        Ordered left edge, right edge, bottom edge, top edge (each along
+        its axis), the order in which ``boundary_contribution`` adds them
+        up at a corner node.
+        """
+        rows, cols = self.shape
+        first_column, first_row = np.arange(rows) * cols, np.arange(cols)
+        x = np.concatenate([np.full(rows, self.xa), np.full(rows, self.xb),
+                            self.xs, self.xs])
+        y = np.concatenate([self.ys, self.ys,
+                            np.full(cols, self.ya), np.full(cols, self.yb)])
+        node = np.concatenate([first_column, first_column + (cols - 1),
+                               first_row, first_row + (rows - 1) * cols])
+        ax, ay = 1.0 / self.hx**2, 1.0 / self.hy**2
+        weight = np.repeat([ax, ax, ay, ay], [rows, rows, cols, cols])
+        return BoundaryRing(*map(_read_only, (x, y, node, weight)))
+
+
+class BoundaryRing(NamedTuple):
+    """Boundary nodes next to the interior, one entry per stencil term.
+
+    Entry k sits at (x[k], y[k]) and adds weight[k] (1/hx^2 or 1/hy^2)
+    times its boundary value to the interior node with flat index
+    node[k]. An interior node appears once per boundary neighbour: twice
+    next to a corner, more often on an axis of two cells.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    node: np.ndarray
+    weight: np.ndarray
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -110,10 +146,13 @@ def apply_laplacian(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
     U = u.reshape(grid.shape)
     ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
     out = (-2.0 * (ax + ay)) * U
-    out[:, 1:] += ax * U[:, :-1]
-    out[:, :-1] += ax * U[:, 1:]
-    out[1:, :] += ay * U[:-1, :]
-    out[:-1, :] += ay * U[1:, :]
+    # one scaled copy per axis, reused for both neighbours along it
+    scaled = ax * U
+    out[:, 1:] += scaled[:, :-1]
+    out[:, :-1] += scaled[:, 1:]
+    np.multiply(ay, U, out=scaled)
+    out[1:, :] += scaled[:-1, :]
+    out[:-1, :] += scaled[1:, :]
     return out.ravel()
 
 
@@ -137,24 +176,17 @@ def laplacian_eigenvalues(grid: SpaceGrid) -> np.ndarray:
 def boundary_contribution(bc, t: float, grid: SpaceGrid) -> np.ndarray:
     """Dirichlet neighbor terms of the 5-point stencil at time t.
 
-    ``bc(x, y, t)`` supplies the boundary values; the result is nonzero
-    only at interior nodes adjacent to the boundary and satisfies
-    apply_laplacian(u) + boundary_contribution = discrete Laplacian of the
-    full grid function whose boundary trace is ``bc``.
+    ``bc(x, y, t)`` supplies the boundary values. It is called once per
+    call, with x and y equal-shape 1D arrays of the coordinates of
+    ``grid.boundary_ring``, and returns values of that shape or a scalar.
+    The result is nonzero only at interior nodes adjacent to the boundary
+    and satisfies apply_laplacian(u) + boundary_contribution = discrete
+    Laplacian of the full grid function whose boundary trace is ``bc``.
     """
-    ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    xs, ys = grid.xs, grid.ys
-    out = np.zeros(grid.shape)
-
-    def edge(x, y):
-        vals = np.asarray(bc(x, y, t), dtype=float)
-        return np.broadcast_to(vals, np.broadcast_shapes(np.shape(x), np.shape(y)))
-
-    out[:, 0] += ax * edge(grid.xa, ys)
-    out[:, -1] += ax * edge(grid.xb, ys)
-    out[0, :] += ay * edge(xs, grid.ya)
-    out[-1, :] += ay * edge(xs, grid.yb)
-    return out.ravel()
+    ring = grid.boundary_ring
+    terms = ring.weight * np.asarray(bc(ring.x, ring.y, t), dtype=float)
+    # bincount sums each node's terms in ring order, starting from 0.0
+    return np.bincount(ring.node, weights=terms, minlength=grid.n_interior)
 
 
 def _second_difference_1d(n_cells: int, h: float) -> np.ndarray:
@@ -186,12 +218,16 @@ def assemble_dense(grid: SpaceGrid) -> np.ndarray:
 
 
 def field_to_csv(u: np.ndarray, grid: SpaceGrid, path, header_lines=()) -> None:
-    """Write (x, y, value) triples in column-major order (x fastest)."""
+    """Write (x, y, value) triples in column-major order (x fastest).
+
+    Every number is written with ``repr``, so the file reads back exactly.
+    """
     u = check_field(u, grid)
-    X, Y = grid.meshes()
+    xs = [repr(x) for x in grid.xs.tolist()]
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("x,y,value\n")
-        for xv, yv, uv in zip(X.ravel(), Y.ravel(), u):
-            fh.write(f"{float(xv)!r},{float(yv)!r},{float(uv)!r}\n")
+        for y, row in zip(grid.ys.tolist(), u.reshape(grid.shape)):
+            y = repr(y)
+            fh.write("".join(f"{x},{y},{v!r}\n" for x, v in zip(xs, row.tolist())))

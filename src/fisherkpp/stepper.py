@@ -225,12 +225,19 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
 
     v0 = to_sine(np.asarray(u0, dtype=float))
 
-    def march(n):
+    def tables(z):
+        return np.exp(z), phi_functions(z)
+
+    def march(n, full):
+        """n substeps, given ``tables(h * lam)`` for h = (t1 - t0) / n.
+
+        Also returns ``tables(h * lam / 2)``, which are the full-step
+        tables of 2n substeps: halving is exact in binary floating point.
+        """
         h = (t1 - t0) / n
-        z = h * lam
-        e, e2 = np.exp(z), np.exp(z / 2)
-        q = 0.5 * h * phi_functions(z / 2)[0]
-        p1, p2, p3 = phi_functions(z)
+        half = tables(h * lam / 2)
+        (e, (p1, p2, p3)), (e2, (half_p1, _, _)) = full, half
+        q = 0.5 * h * half_p1
         f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
         f2 = h * 2.0 * (p2 - 2.0 * p3)
         f3 = h * (4.0 * p3 - p2)
@@ -248,15 +255,15 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
         u = from_sine(v)
         if not np.isfinite(u).all():
             raise FloatingPointError(f"the field is not finite after {n} substeps")
-        return u
+        return u, half
 
     n, nfev = 1, 4
     try:
-        coarse = march(n)
+        coarse, full = march(n, tables((t1 - t0) * lam))
         while n < ETD_MAX_SUBSTEPS:
             n *= 2
             nfev += 4 * n
-            fine = march(n)
+            fine, full = march(n, full)
             delta = (fine - coarse) / 15.0
             estimate = float(np.abs(delta).max())
             if estimate <= 1e-9 * max(1.0, float(np.abs(fine).max())):

@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's own code paths: numpy
 linear solves instead of closed-form elimination, explicit loops instead
 of vectorized stencils, finite differences instead of hand-derived
 sources, a sparse Kronecker Laplacian and scipy's Runge-Kutta instead of
-the matrix-free stencil and the stepper.
+the matrix-free stencil and the stepper. The slice-form stencil, the
+per-edge lifting and the per-node CSV writer are earlier library
+versions, kept as references that the current ones must match bit for
+bit.
 """
 
 import numpy as np
@@ -182,3 +185,44 @@ def mol_reference(problem, sgrid, rtol=1e-10):
     if not sol.success:
         raise RuntimeError(f"MOL reference integration failed: {sol.message}")
     return sol.y[:, -1]
+
+
+def laplacian_slices(u, grid):
+    """5-point Laplacian with zero ghost values, one scaled slice per term."""
+    U = np.asarray(u, dtype=float).reshape(grid.shape)
+    ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
+    out = (-2.0 * (ax + ay)) * U
+    out[:, 1:] += ax * U[:, :-1]
+    out[:, :-1] += ax * U[:, 1:]
+    out[1:, :] += ay * U[:-1, :]
+    out[:-1, :] += ay * U[1:, :]
+    return out.ravel()
+
+
+def lifting_per_edge(bc, t, grid):
+    """Dirichlet lifting with one ``bc`` call per edge, added left, right,
+    bottom, top into a zero field."""
+    ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
+    xs, ys = grid.xs, grid.ys
+    out = np.zeros(grid.shape)
+
+    def edge(x, y):
+        vals = np.asarray(bc(x, y, t), dtype=float)
+        return np.broadcast_to(vals, np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+    out[:, 0] += ax * edge(grid.xa, ys)
+    out[:, -1] += ax * edge(grid.xb, ys)
+    out[0, :] += ay * edge(xs, grid.ya)
+    out[-1, :] += ay * edge(xs, grid.yb)
+    return out.ravel()
+
+
+def field_to_csv_per_node(u, grid, path, header_lines=()):
+    """(x, y, value) CSV written one node at a time from the full meshes."""
+    X, Y = grid.meshes()
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write("x,y,value\n")
+        for xv, yv, uv in zip(X.ravel(), Y.ravel(), u):
+            fh.write(f"{float(xv)!r},{float(yv)!r},{float(uv)!r}\n")

@@ -232,6 +232,19 @@ def test_sweep_over_grids_rejects_gamma(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("--nx", "8", "--sweep-m", "4,8", "-M", "100"), "m"),
+    (("--sweep-n", "8,16", "-M", "10", "--nx", "32"), "nx"),
+    (("--nx", "8", "--sweep-m", "4,8", "--beta", "3", "--betas", "2,pi"), "beta"),
+])
+def test_sweep_rejects_key_it_would_ignore(tmp_path, argv, key, capsys):
+    # m, nx and beta have defaults, so only the given keys tell them apart
+    out = tmp_path / "out"
+    assert run_cli("convergence", *argv, "-o", str(out)) == 2
+    assert f"key {key!r} is not used" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_example_exits_2(capsys):
     assert run_cli("run", "--example", "manufactured", "--beta", "1") == 2
     assert "config error" in capsys.readouterr().err
@@ -240,3 +253,8 @@ def test_unknown_example_exits_2(capsys):
 def test_config_hash_stable():
     assert RunConfig().hash() == RunConfig().hash()
     assert RunConfig(beta=2.0).hash() != RunConfig(beta=3.0).hash()
+    # recording which keys were given leaves every hash as it was
+    assert RunConfig().hash() == "bdddeac54f4f"
+    assert parse_config(overrides={"nx": "16", "sweep_m": "20,40,80",
+                                   "grids": "graded:0.75",
+                                   "betas": "sqrt2,2,pi"}).hash() == "0a0decf3731c"

@@ -14,6 +14,8 @@ from fisherkpp.spatial import (
     laplacian_eigenvalues,
 )
 
+from oracles import field_to_csv_per_node, laplacian_slices, lifting_per_edge
+
 
 def unit_pi_grid(n):
     return SpaceGrid(0.0, np.pi, 0.0, np.pi, n, n)
@@ -203,3 +205,56 @@ def test_field_csv_is_column_major(tmp_path):
     second = [float(tok) for tok in lines[3].split(",")]
     assert first[0] != second[0] and first[1] == second[1]
     assert [row.split(",")[2] for row in lines[2:]] == ["0.0", "1.0", "2.0", "3.0"]
+
+
+# (domain, boundary data): both examples, a time-dependent boundary and a
+# scalar-valued zero boundary
+BOUNDARIES = {
+    "manufactured": (example1().domain, example1().boundary),
+    "wave": (example2().domain, example2().boundary),
+    "exp-cos": ((-1.0, 2.5, 0.0, 1.2),
+                lambda x, y, t: np.exp(-t * x) * np.cos(3.0 * y + t)),
+    "zero": ((0.0, 1.0, 0.0, 1.0), lambda x, y, t: 0.0),
+}
+RING_SIZES = [(2, 2), (3, 2), (2, 5), (24, 20), (161, 97)]
+
+
+@pytest.mark.parametrize("nx, ny", RING_SIZES)
+@pytest.mark.parametrize("name", sorted(BOUNDARIES))
+def test_lifting_and_laplacian_match_slice_forms_bit_for_bit(name, nx, ny):
+    domain, bc = BOUNDARIES[name]
+    g = SpaceGrid(*domain, nx, ny)
+    for t in (0.0, 0.37, 1.0):
+        assert np.array_equal(boundary_contribution(bc, t, g),
+                              lifting_per_edge(bc, t, g))
+    rng = np.random.default_rng(nx * ny)
+    for _ in range(3):
+        u = rng.standard_normal(g.n_interior) * 10.0 ** rng.integers(-3, 4)
+        assert np.array_equal(apply_laplacian(u, g), laplacian_slices(u, g))
+
+
+def test_lifting_evaluates_bc_once_on_the_ring():
+    g = SpaceGrid(-1.0, 2.5, 0.0, 1.2, 24, 20)
+    shapes = []
+
+    def bc(x, y, t):
+        shapes.append((np.shape(x), np.shape(y)))
+        return x * y + t
+
+    boundary_contribution(bc, 0.3, g)
+    assert shapes == [((2 * 19 + 2 * 23,), (2 * 19 + 2 * 23,))]
+    ring = g.boundary_ring
+    assert g.boundary_ring is ring
+    with pytest.raises(ValueError):
+        ring.weight[0] = 0.0
+
+
+def test_field_csv_matches_per_node_writer(tmp_path):
+    g = SpaceGrid(-1.0, 2.5, 0.0, 1.2, 160, 163)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(g.n_interior) * 10.0 ** rng.integers(-300, 300, g.n_interior)
+    u[[0, 17, 4000, -1]] = [0.0, -0.0, 1e300, 5e-324]
+    header = ["config=deadbeef", "second line"]
+    field_to_csv(u, g, tmp_path / "new.csv", header_lines=header)
+    field_to_csv_per_node(u, g, tmp_path / "old.csv", header_lines=header)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

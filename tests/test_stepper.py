@@ -160,6 +160,24 @@ def test_etd_init_matches_dp5_oracle(case):
     assert rec.nfev == 4 * (2 * rec.substeps - 1)
 
 
+def test_etd_init_computes_each_phi_table_once(monkeypatch):
+    # one table per substep size (t1 - t0) / 2^k, down to half the final one
+    seen = []
+
+    def counting(z):
+        seen.append(z.copy())
+        return phi_functions(z)
+
+    monkeypatch.setattr(stepper, "phi_functions", counting)
+    p = example1()
+    g = p.space_grid(48, 48)
+    _, rec = etd_init(p, g, 0.0, 1.0 / 6.0, np.zeros(g.n_interior))
+    assert rec.substeps == 16
+    assert len(seen) == math.log2(rec.substeps) + 2
+    for coarse, fine in zip(seen, seen[1:]):
+        assert np.array_equal(fine, coarse / 2)
+
+
 def benchmark_start(problem, n, tgrid):
     """Stiffness of the first step of a run on an n x n grid."""
     g = problem.space_grid(n, n)
