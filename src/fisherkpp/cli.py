@@ -33,10 +33,12 @@ class ConfigError(ValueError):
 
 
 def parse_float(text: str) -> float:
+    """A finite float; ``sqrt2`` and ``pi`` are accepted by name."""
     text = str(text).strip().lower()
-    if text in _SYMBOLIC:
-        return _SYMBOLIC[text]
-    return float(text)
+    value = _SYMBOLIC[text] if text in _SYMBOLIC else float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_int_list(text):
@@ -124,8 +126,9 @@ _LOCKED_KEYS = ("d", "k", "form", "p", "q")
 
 
 def read_config_file(path) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
+    """Flat key = value lines; '#' starts a comment; a key is set once."""
     raw = {}
+    set_on = {}
     violations = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -135,7 +138,13 @@ def read_config_file(path) -> dict:
             violations.append(f"{path}:{lineno}: expected key = value, got {line!r}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        raw[key.lower()] = value
+        key = key.lower()
+        if key in set_on:
+            violations.append(f"{path}:{lineno}: key {key!r} already set "
+                              f"on line {set_on[key]}")
+            continue
+        set_on[key] = lineno
+        raw[key] = value
     if violations:
         raise ConfigError(violations)
     return raw
@@ -290,7 +299,7 @@ def cmd_coeffs(args) -> int:
             raise ConfigError(["--nodes needs exactly three times t0,t1,t2"])
         cf = nonuniform_coeffs(*nodes, args.beta)
         kind = "vandermonde"
-    lines = ["coefficient,value", f"kind,{kind}", f"beta,{cf.beta!r}"]
+    lines = ["coefficient,value", f"kind,{kind}", f"beta,{args.beta!r}"]
     for name, val in (("a0", cf.a[0]), ("a1", cf.a[1]), ("a2", cf.a[2]),
                       ("b0", cf.b[0]), ("b1", cf.b[1]),
                       ("c0", cf.c[0]), ("c1", cf.c[1]),

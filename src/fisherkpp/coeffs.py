@@ -23,8 +23,6 @@ class StepCoefficients:
 
     Attributes
     ----------
-    beta : float
-        Shift parameter, > 1.
     a : (a0, a1, a2)
         Derivative weights for (u^{n-1}, u^n, u^{n+1}), in units of 1/time.
     b : (b0, b1)
@@ -35,7 +33,6 @@ class StepCoefficients:
         The absolute evaluation time t*.
     """
 
-    beta: float
     a: tuple[float, float, float]
     b: tuple[float, float]
     c: tuple[float, float]
@@ -129,7 +126,5 @@ def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float, beta: float,
     a = _derivative_weights(d0, d1, d2)
     b0, b1 = _interp_weights(d1, d2)
     c0, c1 = _interp_weights(d0, d1)
-    return StepCoefficients(
-        beta=float(beta), a=a, b=(b0, b1), c=(c0, c1), t_eval=t_star,
-    )
+    return StepCoefficients(a=a, b=(b0, b1), c=(c0, c1), t_eval=t_star)
 

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coeffs import StepCoefficients
 from .spatial import SpaceGrid, eval_interior
 
 LOGISTIC_P = "logistic_p"
@@ -155,9 +154,9 @@ def example2(T: float = 1.0) -> ProblemSpec:
 PROBLEMS = {"manufactured": example1, "wave": example2}
 
 
-def source_at_shifted_time(spec: ProblemSpec, coeffs: StepCoefficients,
+def source_at_shifted_time(spec: ProblemSpec, t: float,
                            grid: SpaceGrid) -> np.ndarray:
-    """Forcing sampled at the step's shifted time t* on the interior."""
+    """Forcing sampled on the interior at t, a step's shifted time t*."""
     if spec.source is None:
         return np.zeros(grid.n_interior)
-    return eval_interior(spec.source, grid, t=coeffs.t_eval)
+    return eval_interior(spec.source, grid, t=t)

@@ -62,18 +62,6 @@ class SpaceGrid:
         return _read_only(self.ya + self.hy * np.arange(1, self.ny))
 
     @cached_property
-    def _meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        X, Y = np.meshgrid(self.xs, self.ys)
-        return _read_only(X), _read_only(Y)
-
-    def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Interior coordinate arrays X, Y of shape ``self.shape``.
-
-        Built once per grid and read-only, since every call shares them.
-        """
-        return self._meshes
-
-    @cached_property
     def boundary_ring(self) -> BoundaryRing:
         """The Dirichlet neighbours of the interior, built once per grid.
 

@@ -70,9 +70,7 @@ def lagrange_coeffs(t_prev, t_curr, t_next, beta):
     b0 = (t_star - t_next) / (t_curr - t_next)
     c1 = (t_star - t_prev) / (t_curr - t_prev)
     c0 = (t_star - t_curr) / (t_prev - t_curr)
-    return StepCoefficients(
-        beta=float(beta), a=(a0, a1, a2), b=(b0, b1), c=(c0, c1), t_eval=t_star,
-    )
+    return StepCoefficients(a=(a0, a1, a2), b=(b0, b1), c=(c0, c1), t_eval=t_star)
 
 
 def dense_step_oracle(problem, sgrid, t_prev, t_curr, t_next, beta,
@@ -125,7 +123,7 @@ def dense_step_oracle(problem, sgrid, t_prev, t_curr, t_next, beta,
     rhs += D * b0 * (L @ u_curr + lift(t_curr)) + D * b1 * lift(t_next)
     rhs += K * f_eval(c1 * u_curr + c0 * u_prev, problem.nonlinearity)
     if problem.source is not None:
-        X, Y = sgrid.meshes()
+        X, Y = np.meshgrid(sgrid.xs, sgrid.ys)
         rhs += np.asarray(problem.source(X, Y, t_star), dtype=float).ravel()
     lhs = a2 * np.eye((nx - 1) * (ny - 1)) - D * b1 * L
     return np.linalg.solve(lhs, rhs)
@@ -219,7 +217,7 @@ def lifting_per_edge(bc, t, grid):
 
 def field_to_csv_per_node(u, grid, path, header_lines=()):
     """(x, y, value) CSV written one node at a time from the full meshes."""
-    X, Y = grid.meshes()
+    X, Y = np.meshgrid(grid.xs, grid.ys)
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")

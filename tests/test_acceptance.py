@@ -18,17 +18,19 @@ spatial floor |reference - exact| between them.
 import math
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from fisherkpp import stepper
 from fisherkpp.analysis import (exact_final_field, l2_error, linf_error,
                                 spatial_sweep, temporal_sweep)
 from fisherkpp.coeffs import nonuniform_coeffs, uniform_coeffs
 from fisherkpp.linsolve import ShiftedOperator, cg_solve, direct_solve_small
 from fisherkpp.problems import example1, example2
 from fisherkpp.spatial import eval_interior
-from fisherkpp.stepper import bdf_imex_step, integrate, rk_init
+from fisherkpp.stepper import bdf_imex_step, integrate
 from fisherkpp.timegrid import TimeGrid, graded_grid, uniform_grid
 
 from oracles import (dense_step_oracle, lagrange_coeffs, mol_reference,
@@ -248,8 +250,9 @@ def test_criterion_05_coefficient_consistency():
            f"worst route disagreement {worst_lagrange:.1e}")
 
 
-def test_criterion_06_discretization_oracle():
+def test_criterion_06_discretization_oracle(monkeypatch):
     t0 = time.perf_counter()
+    monkeypatch.setattr(stepper, "cg_solve", partial(cg_solve, tol=1e-12))
     violations = []
     worst = 0.0
     for problem_fn in (example1, example2):
@@ -264,11 +267,10 @@ def test_criterion_06_discretization_oracle():
                 tg = TimeGrid(T=1.0, M=6, nodes=nodes)
                 n = 2
             t_prev, t_curr, t_next = tg.nodes[n - 1:n + 2]
-            cf = nonuniform_coeffs(t_prev, t_curr, t_next, 2.0)
             u_prev = eval_interior(p.exact, g, t=t_prev)
             u_curr = eval_interior(p.exact, g, t=t_curr)
-            u_next, _ = bdf_imex_step(u_prev, u_curr, t_curr, t_next, cf,
-                                      p, g, tol=1e-12)
+            u_next, _ = bdf_imex_step(u_prev, u_curr, t_prev, t_curr, t_next,
+                                      2.0, p, g)
             oracle = dense_step_oracle(p, g, t_prev, t_curr, t_next, 2.0,
                                        u_prev, u_curr)
             gap = np.abs(u_next - oracle).max()
@@ -372,10 +374,11 @@ def test_supplementary_floor_isolated_temporal_orders():
            "temporal orders against step-converged references")
 
 
-def test_criterion_10_code_path_equivalence():
-    """``integrate`` on a uniform grid against a march with the paper's
-    closed-form uniform weights: a / tau from the unit-step triple and
-    t* = t_n + beta * tau, passed to ``bdf_imex_step`` step by step."""
+def test_criterion_10_code_path_equivalence(monkeypatch):
+    """``integrate`` on a uniform grid against ``integrate`` with the
+    paper's closed-form uniform weights in place of the per-step
+    Vandermonde solve: a / tau from the unit-step triple and
+    t* = t_n + beta * tau."""
     t0 = time.perf_counter()
     p = example1()
     g = p.space_grid(32, 32)
@@ -385,18 +388,16 @@ def test_criterion_10_code_path_equivalence():
 
     tau = tg.T / tg.M
     unit = uniform_coeffs(beta)
-    nodes = tg.nodes
-    u_prev = eval_interior(p.initial, g)
-    u_curr, _ = rk_init(p, g, nodes[0], nodes[1], u_prev)
-    for n in range(1, tg.M):
-        cf = replace(unit, a=tuple(w / tau for w in unit.a),
-                     t_eval=nodes[n] + beta * tau)
-        u_next, _ = bdf_imex_step(u_prev, u_curr, nodes[n], nodes[n + 1],
-                                  cf, p, g)
-        u_prev, u_curr = u_curr, u_next
-    gap = float(np.abs(ua - u_curr).max())
+
+    def closed_form(t_prev, t_curr, t_next, beta):
+        return replace(unit, a=tuple(w / tau for w in unit.a),
+                       t_eval=t_curr + beta * tau)
+
+    monkeypatch.setattr(stepper, "nonuniform_coeffs", closed_form)
+    ub, _ = integrate(p, tg, g, beta)
+    gap = float(np.abs(ua - ub).max())
     violations = []
     if gap > 1e-12:
         violations.append(f"pipelines differ by {gap:.2e} > 1e-12")
     report(10, violations, time.perf_counter() - t0,
-           f"integrate vs closed-form uniform march gap {gap:.1e}")
+           f"integrate vs closed-form uniform weights gap {gap:.1e}")

@@ -25,6 +25,50 @@ def test_parse_float_symbolic():
     assert parse_float("2.5e-1") == 0.25
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "1e400"])
+def test_parse_float_rejects_non_finite(text):
+    with pytest.raises(ValueError, match="not a finite number"):
+        parse_float(text)
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--gamma", "nan", "gamma"),
+    ("--gamma", "inf", "gamma"),
+    ("--t-final", "inf", "t_final"),
+    ("--beta", "inf", "beta"),
+    ("--beta", "nan", "beta"),
+])
+def test_run_rejects_non_finite_value(tmp_path, flag, value, key, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "-M", "4", "--nx", "8", flag, value,
+                   "-o", str(out)) == 2
+    assert f"config error: bad value for {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--betas", "2,inf", "betas"),
+    ("--grids", "uniform,graded:nan", "grids"),
+])
+def test_convergence_rejects_non_finite_list_entry(tmp_path, flag, value,
+                                                   key, capsys):
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--nx", "8", "--sweep-m", "4,8", flag, value,
+                   "-o", str(out)) == 2
+    assert f"config error: bad value for {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("grid", "-M", "4", "-T", "inf"),
+                                  ("coeffs", "--beta", "nan")])
+def test_dump_commands_reject_non_finite_value(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 2
+    assert f"argument {argv[-2]}: invalid parse_float value: {argv[-1]!r}" \
+        in capsys.readouterr().err
+
+
 def test_minimal_config_fills_defaults(tmp_path):
     cfg = parse_config(write(tmp_path,
         "example = manufactured\nbeta = 2\nm = 40\nnx = 64\nny = 64\n"))
@@ -37,6 +81,13 @@ def test_comments_and_spacing_tolerated(tmp_path):
         "# a comment\n\nbeta = sqrt2  # inline comment\n  m=10\n"))
     assert cfg.beta == math.sqrt(2.0)
     assert cfg.m == 10
+
+
+def test_key_set_twice_rejected_with_both_lines(tmp_path):
+    path = write(tmp_path, "m = 10\nnx = 8\n# note\nM = 20\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert info.value.violations == [f"{path}:4: key 'm' already set on line 1"]
 
 
 def test_small_beta_rejected_with_message(tmp_path):

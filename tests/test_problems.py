@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fisherkpp.coeffs import nonuniform_coeffs
 from fisherkpp.problems import (
     LOGISTIC_P,
     PQ_PRODUCT,
@@ -94,30 +93,27 @@ def test_example2_wave_satisfies_pde():
 def test_source_at_shifted_time_zero_source():
     p = example2()
     g = p.space_grid(6, 6)
-    cf = nonuniform_coeffs(0.0, 0.1, 0.25, 2.0)
-    assert np.all(source_at_shifted_time(p, cf, g) == 0.0)
+    assert np.all(source_at_shifted_time(p, 0.4, g) == 0.0)
 
 
 def test_source_at_shifted_time_at_zero():
     # t* = 0 kills every sin(t) factor, leaving cos(0) sin(x) sin(y)
     p = example1()
     g = p.space_grid(8, 8)
-    cf = nonuniform_coeffs(-0.3, -0.2, -0.1, 2.0)
-    assert cf.t_eval == pytest.approx(0.0, abs=1e-16)
-    got = source_at_shifted_time(p, cf, g).reshape(g.shape)
-    X, Y = g.meshes()
+    got = source_at_shifted_time(p, 0.0, g).reshape(g.shape)
+    X, Y = np.meshgrid(g.xs, g.ys)
     np.testing.assert_allclose(got, np.sin(X) * np.sin(Y), atol=1e-13)
 
 
 def test_source_matches_pointwise_loop():
     p = example1()
     g = p.space_grid(7, 7)  # 6x6 interior
-    cf = nonuniform_coeffs(0.0, 0.13, 0.31, 1.5)
-    got = source_at_shifted_time(p, cf, g).reshape(g.shape)
+    t_star = 0.13 + 1.5 * (0.31 - 0.13)
+    got = source_at_shifted_time(p, t_star, g).reshape(g.shape)
     for j, yv in enumerate(g.ys):
         for i, xv in enumerate(g.xs):
             assert got[j, i] == pytest.approx(
-                float(p.source(xv, yv, cf.t_eval)), rel=1e-14)
+                float(p.source(xv, yv, t_star)), rel=1e-14)
 
 
 def test_space_grid_from_domain():
