@@ -294,7 +294,10 @@ def cmd_coeffs(args) -> int:
         cf = uniform_coeffs(args.beta)
         kind = "uniform"
     else:
-        nodes = _parse_float_list(args.nodes)
+        try:
+            nodes = _parse_float_list(args.nodes)
+        except ValueError as exc:
+            raise ConfigError([f"bad value for '--nodes': {exc}"]) from None
         if len(nodes) != 3:
             raise ConfigError(["--nodes needs exactly three times t0,t1,t2"])
         cf = nonuniform_coeffs(*nodes, args.beta)

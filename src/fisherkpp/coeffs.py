@@ -10,6 +10,7 @@ of a small Vandermonde system in the node offsets from t*.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -122,8 +123,12 @@ def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float, beta: float,
             f"near-degenerate node triple ({t_prev}, {t_curr}, {t_next}): "
             f"Vandermonde condition exceeds {cond_limit:g}"
         )
-    d0, d1, d2 = t_prev - t_star, t_curr - t_star, t_next - t_star
-    a = _derivative_weights(d0, d1, d2)
+    # offsets near unit size, so the products in _derivative_weights cannot
+    # underflow on tiny steps; scaling by a power of two is exact, so
+    # ordinary steps keep their bits
+    _, e = math.frexp(t_next - t_curr)
+    d0, d1, d2 = (math.ldexp(t - t_star, -e) for t in (t_prev, t_curr, t_next))
+    a = tuple(math.ldexp(w, -e) for w in _derivative_weights(d0, d1, d2))
     b0, b1 = _interp_weights(d1, d2)
     c0, c1 = _interp_weights(d0, d1)
     return StepCoefficients(a=a, b=(b0, b1), c=(c0, c1), t_eval=t_star)

@@ -30,8 +30,17 @@ class ShiftedOperator:
                 f"operator must be SPD: sigma={self.sigma}, kappa={self.kappa}"
             )
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.sigma * v - self.kappa * apply_laplacian(v, self.grid)
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+        """sigma * v - kappa * L v, in ``out`` with ``work`` as scratch.
+
+        The buffers follow ``apply_laplacian``: float fields disjoint
+        from ``v`` and from each other, allocated when not given.
+        """
+        out = apply_laplacian(v, self.grid, out=out, work=work)
+        out *= self.kappa
+        sigma_v = np.multiply(v, self.sigma, work)
+        return np.subtract(sigma_v, out, out)
 
     def as_dense(self) -> np.ndarray:
         lap = assemble_dense(self.grid)  # size-guarded before np.eye allocates
@@ -101,7 +110,10 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     if not math.isfinite(b_norm):
         raise SolveFailure(f"CG right-hand side is not finite (norm {b_norm})",
                            best_x=x, residual=b_norm, iterations=0)
-    r = rhs - op.apply(x)
+    # work buffers for the whole solve: each iteration allocates nothing
+    # (the ufuncs take their output positionally, as in apply_laplacian)
+    q, w = np.empty_like(rhs), np.empty_like(rhs)
+    r = rhs - op.apply(x, out=q, work=w)
     rr = float(r @ r)
     p = r.copy()
 
@@ -127,10 +139,10 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
                 best_x=x.copy() if best_x is None else best_x,
                 residual=best_res, iterations=k,
             )
-        q = op.apply(p)
+        op.apply(p, out=q, work=w)
         alpha = rr / float(p @ q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(p, alpha, w)
+        r -= np.multiply(q, alpha, w)
         rr_new = float(r @ r)
         res = math.sqrt(rr_new)
         history.append(res)
@@ -138,7 +150,9 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
             best_res, best_x = res, None
         elif best_x is None:
             best_x = x - alpha * p  # the previous iterate, up to rounding
-        p = r + (rr_new / rr) * p
+        # p = r + beta * p in place: addition commutes, so the bits match
+        p *= rr_new / rr
+        p += r
         rr = rr_new
         k += 1
     return CGResult(x=x, iterations=k, residuals=history)

@@ -123,25 +123,36 @@ def eval_interior(fn, grid: SpaceGrid, t: float | None = None) -> np.ndarray:
     return np.broadcast_to(np.asarray(vals, dtype=float), grid.shape).ravel().copy()
 
 
-def apply_laplacian(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
+def apply_laplacian(u: np.ndarray, grid: SpaceGrid, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """Matrix-free 5-point Laplacian with zero ghost values.
 
     Boundary neighbor terms are deliberately dropped; add
     ``boundary_contribution`` to recover the discrete Laplacian of the
     full grid function.
+
+    ``out`` receives the result and ``work`` serves as scratch: 1D float
+    fields of the interior's length that share no memory with ``u`` or
+    with each other, allocated when not given. Returns ``out``.
     """
     u = check_field(u, grid)
-    U = u.reshape(grid.shape)
+    shape = grid.shape
+    U = u.reshape(shape)
     ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    out = (-2.0 * (ax + ay)) * U
+    if out is None:
+        out = np.empty(grid.n_interior)
+    # a 1D buffer always reshapes to a view, so L writes into out; the
+    # ufuncs take their output positionally, which on small grids is
+    # measurably cheaper than the out= keyword
+    L = np.multiply(-2.0 * (ax + ay), U, out.reshape(shape))
     # one scaled copy per axis, reused for both neighbours along it
-    scaled = ax * U
-    out[:, 1:] += scaled[:, :-1]
-    out[:, :-1] += scaled[:, 1:]
-    np.multiply(ay, U, out=scaled)
-    out[1:, :] += scaled[:-1, :]
-    out[:-1, :] += scaled[1:, :]
-    return out.ravel()
+    scaled = ax * U if work is None else np.multiply(ax, U, work.reshape(shape))
+    L[:, 1:] += scaled[:, :-1]
+    L[:, :-1] += scaled[:, 1:]
+    np.multiply(ay, U, scaled)
+    L[1:, :] += scaled[:-1, :]
+    L[:-1, :] += scaled[1:, :]
+    return out
 
 
 def laplacian_eigenvalues(grid: SpaceGrid) -> np.ndarray:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.integrate import solve_ivp
 
 # uniform_coeffs and direct_solve_small are unused here but stay bound:
 # perfbench/tracer.py wraps fisherkpp.stepper.uniform_coeffs and
@@ -100,6 +99,17 @@ class RunReport:
                 fh.write(
                     f"{r.step},{r.t!r},{r.cg_iters},{r.residual!r},{r.wall_ms:.3f}\n"
                 )
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first DP5(4) start.
+
+    scipy.integrate pulls in scipy.optimize, sparse and linalg, which a
+    run that starts with ETDRK4 never uses.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 class InitializationError(RuntimeError):
@@ -310,14 +320,24 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, t_prev: float,
     c0, c1 = coeffs.c
     D, K = problem.D, problem.K
 
-    rhs = -a1 * u_curr - a0 * u_prev
-    rhs += D * b0 * (
-        apply_laplacian(u_curr, sgrid)
-        + boundary_contribution(problem.boundary, t_curr, sgrid)
-    )
-    rhs += D * b1 * boundary_contribution(problem.boundary, t_next, sgrid)
+    # the formula of the module docstring, evaluated term by term as
+    # written, in one buffer with two temporaries
+    rhs = np.multiply(u_curr, -a1)
+    tmp = np.multiply(u_prev, a0)
+    rhs -= tmp
+    lap = apply_laplacian(u_curr, sgrid, work=tmp)
+    lap += boundary_contribution(problem.boundary, t_curr, sgrid)
+    lap *= D * b0
+    rhs += lap
+    lift = boundary_contribution(problem.boundary, t_next, sgrid)
+    lift *= D * b1
+    rhs += lift
     if K != 0.0:
-        rhs += K * f_eval(c1 * u_curr + c0 * u_prev, problem.nonlinearity)
+        u_explicit = np.multiply(u_curr, c1, out=tmp)
+        u_explicit += np.multiply(u_prev, c0, out=lap)
+        reaction = f_eval(u_explicit, problem.nonlinearity)
+        reaction *= K
+        rhs += reaction
     rhs += source_at_shifted_time(problem, coeffs.t_eval, sgrid)
 
     op = ShiftedOperator(sigma=a2, kappa=D * b1, grid=sgrid)

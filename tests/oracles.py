@@ -5,17 +5,20 @@ linear solves instead of closed-form elimination, explicit loops instead
 of vectorized stencils, finite differences instead of hand-derived
 sources, a sparse Kronecker Laplacian and scipy's Runge-Kutta instead of
 the matrix-free stencil and the stepper. The slice-form stencil, the
-per-edge lifting and the per-node CSV writer are earlier library
-versions, kept as references that the current ones must match bit for
-bit.
+per-edge lifting, the per-node CSV writer, and the conjugate gradient
+loop and step right-hand side that allocate a new array per operation
+are earlier library versions, kept as references that the current ones
+must match bit for bit.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
-from fisherkpp.coeffs import StepCoefficients
-from fisherkpp.problems import f_eval
+from fisherkpp.coeffs import StepCoefficients, nonuniform_coeffs
+from fisherkpp.problems import f_eval, source_at_shifted_time
 
 # 4th-order central differences; h small enough that the stencil error is
 # far below the 1e-10 residual tolerances used by the callers
@@ -224,3 +227,52 @@ def field_to_csv_per_node(u, grid, path, header_lines=()):
         fh.write("x,y,value\n")
         for xv, yv, uv in zip(X.ravel(), Y.ravel(), u):
             fh.write(f"{float(xv)!r},{float(yv)!r},{float(uv)!r}\n")
+
+
+def cg_allocating(sigma, kappa, grid, rhs, x0, tol=1e-10):
+    """Conjugate gradients on sigma*I - kappa*L with a new array for every
+    operator application and update, the operator applied through
+    ``laplacian_slices``. Returns (x, iterations, residual history)."""
+
+    def apply(v):
+        return sigma * v - kappa * laplacian_slices(v, grid)
+
+    b_norm = float(np.linalg.norm(rhs))
+    x = x0.copy()
+    r = rhs - apply(x)
+    rr = float(r @ r)
+    p = r.copy()
+    history = [math.sqrt(rr)]
+    for k in range(10 * (grid.nx + grid.ny)):
+        if history[-1] <= tol * b_norm:
+            return x, k, history
+        q = apply(p)
+        alpha = rr / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rr_new = float(r @ r)
+        history.append(math.sqrt(rr_new))
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    raise RuntimeError("reference CG did not converge")
+
+
+def step_rhs_allocating(problem, sgrid, t_prev, t_curr, t_next, beta,
+                        u_prev, u_curr):
+    """One step's right-hand side with a new array per operation, the
+    Laplacian and lifting taken from ``laplacian_slices`` and
+    ``lifting_per_edge``. Returns (rhs, sigma, kappa) of the step."""
+    cf = nonuniform_coeffs(t_prev, t_curr, t_next, beta)
+    (a0, a1, a2), (b0, b1), (c0, c1) = cf.a, cf.b, cf.c
+    D, K = problem.D, problem.K
+
+    def lift(t):
+        return lifting_per_edge(problem.boundary, t, sgrid)
+
+    rhs = -a1 * u_curr - a0 * u_prev
+    rhs += D * b0 * (laplacian_slices(u_curr, sgrid) + lift(t_curr))
+    rhs += D * b1 * lift(t_next)
+    if K != 0.0:
+        rhs += K * f_eval(c1 * u_curr + c0 * u_prev, problem.nonlinearity)
+    rhs += source_at_shifted_time(problem, cf.t_eval, sgrid)
+    return rhs, a2, D * b1

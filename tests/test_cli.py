@@ -233,6 +233,23 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("nodes, cause", [
+    ("nan,0.5,1", "'nan' is not a finite number"),
+    ("0,x,1", "could not convert string to float: 'x'"),
+])
+def test_cmd_coeffs_bad_node_is_config_error(nodes, cause, capsys):
+    assert run_cli("coeffs", "--beta", "2", "--nodes", nodes) == 2
+    assert capsys.readouterr().err == \
+        f"config error: bad value for '--nodes': {cause}\n"
+
+
+def test_run_on_steps_below_1e_162(tmp_path):
+    # the weights of a 5e-171 step came out infinite before the offsets
+    # were scaled to unit size
+    assert run_cli("run", "-M", "4", "--nx", "8", "--t-final", "1e-170",
+                   "-o", str(tmp_path / "out")) == 0
+
+
 @pytest.mark.parametrize("line", ["solver = cg", "max_iter = 5",
                                   "grid = graded", "tol = 1e-12"])
 def test_removed_solver_keys_are_unknown(tmp_path, line, capsys):

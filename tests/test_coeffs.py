@@ -6,6 +6,7 @@ import pytest
 
 from fisherkpp.coeffs import (
     CoefficientError,
+    _derivative_weights,
     nonuniform_coeffs,
     uniform_coeffs,
     vandermonde_condition,
@@ -92,6 +93,35 @@ def test_nonuniform_equals_scaled_uniform_on_equispaced_nodes():
         np.testing.assert_allclose(cn.a, np.array(cu.a) / h, rtol=1e-12)
         np.testing.assert_allclose(cn.b, cu.b, rtol=1e-13)
         np.testing.assert_allclose(cn.c, cu.c, rtol=1e-13)
+
+
+def test_tiny_steps_give_finite_scaled_weights():
+    # offset products of a 1e-170 step underflow to 0 unless scaled first
+    beta = math.pi
+    unit = uniform_coeffs(beta)
+    cf = nonuniform_coeffs(-1e-170, 0.0, 1e-170, beta)
+    assert all(math.isfinite(w) for w in cf.a)
+    np.testing.assert_allclose(np.array(cf.a) * 1e-170, unit.a, rtol=1e-15)
+    np.testing.assert_allclose(cf.b + cf.c, unit.b + unit.c, rtol=1e-15)
+    # with a power-of-two step the scaling is exact
+    h = math.ldexp(1.0, -565)
+    cf = nonuniform_coeffs(-h, 0.0, h, beta)
+    assert cf.a == tuple(math.ldexp(w, 565) for w in unit.a)
+    assert (cf.b, cf.c) == (unit.b, unit.c)
+
+
+def test_scaled_offsets_keep_the_bits_of_ordinary_steps():
+    # the weights from unscaled offsets, as computed before the scaling
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-8.0, 5.0)
+        t0 = scale * rng.uniform(-5.0, 5.0)
+        t1 = t0 + scale * rng.uniform(0.05, 2.0)
+        t2 = t1 + scale * rng.uniform(0.05, 2.0)
+        beta = rng.choice([math.sqrt(2), 2.0, math.pi, rng.uniform(1.01, 4.0)])
+        t_star = t1 + beta * (t2 - t1)
+        d = [t - t_star for t in (t0, t1, t2)]
+        assert nonuniform_coeffs(t0, t1, t2, beta).a == _derivative_weights(*d)
 
 
 def random_triples(count, seed=1234):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there.
+"""Every name a package module imports is used there, and a run loads
+the DP5(4) stack only when its start needs it.
 
 The one exception is a name that ``perfbench/tracer.py`` wraps by its
 module-level binding (a target of ``LAYERS``): the traced benchmark
@@ -7,6 +8,9 @@ needs it bound even where the module no longer calls it.
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,25 @@ def test_every_import_is_used_or_tracer_bound(path):
     exempt = tracer_bound_names().get(f"fisherkpp.{path.stem}", set())
     unused = imported_names(tree) - used_names(tree) - exempt
     assert not unused, f"{path.name} imports unused names {sorted(unused)}"
+
+
+@pytest.mark.parametrize("argv, starter, loaded", [
+    (["--nx", "48", "-M", "6"], "etdrk4", False),
+    (["--nx", "8", "-M", "6"], "dp54", True),
+])
+def test_dp5_stack_loads_only_for_a_non_stiff_start(tmp_path, argv, starter,
+                                                    loaded):
+    out = tmp_path / "out"
+    script = (
+        "import sys\n"
+        "from fisherkpp.cli import main\n"
+        f"assert main(['run', '--example', 'manufactured', *{argv!r}, "
+        f"'-o', {str(out)!r}]) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == str(loaded)
+    assert f"# starter={starter} " in (out / "report.csv").read_text()

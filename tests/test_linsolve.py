@@ -9,6 +9,8 @@ from fisherkpp.linsolve import (
 )
 from fisherkpp.spatial import SpaceGrid
 
+from oracles import cg_allocating
+
 
 def operator(n, sigma=3.0, kappa=0.5):
     g = SpaceGrid(0.0, 1.0, 0.0, 1.0, n, n)
@@ -124,6 +126,35 @@ def test_best_iterate_matches_copying_reference():
     assert out.iterations == 40
     assert out.residuals == history
     assert np.array_equal(out.x, x)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (16, 16), (47, 33), (160, 160)])
+def test_iterates_match_allocating_reference(nx, ny):
+    # the in-place updates repeat the allocating ones operation for operation
+    rng = np.random.default_rng(nx * ny)
+    g = SpaceGrid(-1.0, 2.0, 0.0, 1.5, nx, ny)
+    for sigma, kappa in ((250.0, 2.0), (3.0, 0.5), (1.0, 0.0)):
+        op = ShiftedOperator(sigma=sigma, kappa=kappa, grid=g)
+        rhs = rng.standard_normal(g.n_interior)
+        x0 = rng.standard_normal(g.n_interior)
+        out = cg_solve(op, rhs, x0=x0)
+        x, iterations, history = cg_allocating(sigma, kappa, g, rhs, x0)
+        assert np.array_equal(out.x, x)
+        assert out.iterations == iterations
+        assert out.residuals == history
+
+
+def test_apply_writes_into_given_buffers():
+    rng = np.random.default_rng(19)
+    op = operator(9)
+    v = rng.standard_normal(op.grid.n_interior)
+    out, work = np.empty_like(v), np.empty_like(v)
+    assert op.apply(v, out=out, work=work) is out
+    assert np.array_equal(out, op.apply(v))
+    # a strided buffer is written through, not through a copy
+    strided = np.zeros(2 * v.size)
+    op.apply(v, out=strided[::2], work=work)
+    assert np.array_equal(strided[::2], out) and not strided[1::2].any()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -227,6 +227,9 @@ def test_lifting_and_laplacian_match_slice_forms_bit_for_bit(name, nx, ny):
     for _ in range(3):
         u = rng.standard_normal(g.n_interior) * 10.0 ** rng.integers(-3, 4)
         assert np.array_equal(apply_laplacian(u, g), laplacian_slices(u, g))
+        out, work = np.empty(g.n_interior), np.empty(g.n_interior)
+        assert apply_laplacian(u, g, out=out, work=work) is out
+        assert np.array_equal(out, laplacian_slices(u, g))
 
 
 def test_lifting_evaluates_bc_once_on_the_ring():

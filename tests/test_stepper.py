@@ -29,6 +29,8 @@ from fisherkpp.stepper import (
 from fisherkpp.timegrid import TimeGrid, uniform_grid, graded_grid
 from fisherkpp.analysis import exact_final_field, linf_error
 
+from oracles import cg_allocating, step_rhs_allocating
+
 LOGISTIC = Nonlinearity("logistic_p", p=1)
 
 
@@ -295,6 +297,35 @@ def test_step_reproduces_quadratic_in_time_linear_in_space(monkeypatch):
         )
         np.testing.assert_allclose(
             u_next, eval_interior(p.exact, g, t=nodes[n + 1]), atol=2e-11)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (16, 16), (47, 33), (160, 160)])
+@pytest.mark.parametrize("example", [example1, example2])
+def test_step_matches_allocating_reference(example, nx, ny, monkeypatch):
+    # the one-buffer right-hand side and the in-place CG repeat the
+    # allocating versions operation for operation
+    p = example()
+    g = p.space_grid(nx, ny)
+    solves = []
+
+    def recording_cg(op, rhs, **kwargs):
+        solves.append((op, rhs.copy()))
+        return cg_solve(op, rhs, **kwargs)
+
+    monkeypatch.setattr(stepper, "cg_solve", recording_cg)
+    rng = np.random.default_rng(nx * ny)
+    for nodes, beta in (((0.1, 0.13, 0.17), math.sqrt(2)),
+                        ((0.5, 0.6, 0.7), 2.0), ((0.0, 0.02, 0.09), math.pi)):
+        u_prev, u_curr = rng.uniform(0.0, 1.0, (2, g.n_interior))
+        u_next, solve = bdf_imex_step(u_prev, u_curr, *nodes, beta, p, g)
+        rhs, sigma, kappa = step_rhs_allocating(p, g, *nodes, beta, u_prev, u_curr)
+        op, step_rhs = solves.pop()
+        assert np.array_equal(step_rhs, rhs)
+        assert (op.sigma, op.kappa) == (sigma, kappa)
+        x, iterations, history = cg_allocating(sigma, kappa, g, rhs, u_curr)
+        assert np.array_equal(u_next, x)
+        assert (solve.iterations, solve.residuals) == (iterations, history)
+        assert not np.shares_memory(u_next, u_curr)
 
 
 # --------------------------------------------------------------- integrate
