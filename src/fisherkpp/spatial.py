@@ -134,24 +134,36 @@ def apply_laplacian(u: np.ndarray, grid: SpaceGrid, out: np.ndarray | None = Non
     ``out`` receives the result and ``work`` serves as scratch: 1D float
     fields of the interior's length that share no memory with ``u`` or
     with each other, allocated when not given. Returns ``out``.
+
+    The neighbour terms are shifts of the flat field, by one entry along
+    x and by one row along y: unit-stride loops, where 2D column slices
+    loop once per row. Along x a row's end meets the next row's start,
+    so the scaled copy holds -0.0 in the column that would wrap: -0.0 is
+    the exact additive identity, where +0.0 turns -0.0 into +0.0. Each
+    node adds its terms centre, left, right, below, above.
     """
     u = check_field(u, grid)
-    shape = grid.shape
-    U = u.reshape(shape)
+    cols = grid.nx - 1
     ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
     if out is None:
         out = np.empty(grid.n_interior)
-    # a 1D buffer always reshapes to a view, so L writes into out; the
-    # ufuncs take their output positionally, which on small grids is
+    if work is None:
+        work = np.empty(grid.n_interior)
+    # the ufuncs take their output positionally, which on small grids is
     # measurably cheaper than the out= keyword
-    L = np.multiply(-2.0 * (ax + ay), U, out.reshape(shape))
+    np.multiply(-2.0 * (ax + ay), u, out)
     # one scaled copy per axis, reused for both neighbours along it
-    scaled = ax * U if work is None else np.multiply(ax, U, work.reshape(shape))
-    L[:, 1:] += scaled[:, :-1]
-    L[:, :-1] += scaled[:, 1:]
-    np.multiply(ay, U, scaled)
-    L[1:, :] += scaled[:-1, :]
-    L[:-1, :] += scaled[1:, :]
+    np.multiply(ax, u, work)
+    last, first = slice(cols - 1, None, cols), slice(0, None, cols)
+    work[last] = -0.0
+    out[1:] += work[:-1]
+    # the right shift wraps the first column instead of the last
+    np.multiply(ax, u[last], work[last])
+    work[first] = -0.0
+    out[:-1] += work[1:]
+    np.multiply(ay, u, work)
+    out[cols:] += work[:-cols]
+    out[:-cols] += work[cols:]
     return out
 
 
