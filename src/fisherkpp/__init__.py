@@ -16,7 +16,7 @@ from .analysis import (
 from .coeffs import StepCoefficients, nonuniform_coeffs, uniform_coeffs
 from .linsolve import ShiftedOperator, cg_solve, direct_solve_small
 from .problems import Nonlinearity, ProblemSpec, example1, example2, f_eval
-from .spatial import SpaceGrid, apply_laplacian, assemble_dense, boundary_contribution
+from .spatial import SpaceGrid, apply_laplacian, boundary_contribution
 from .stepper import RunReport, bdf_imex_step, integrate, rk_init
 from .timegrid import TimeGrid, graded_grid, time_grid, uniform_grid
 
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceTable", "Nonlinearity", "ProblemSpec", "RunReport",
     "ShiftedOperator", "SpaceGrid", "StepCoefficients",
-    "TimeGrid", "apply_laplacian", "assemble_dense", "bdf_imex_step",
+    "TimeGrid", "apply_laplacian", "bdf_imex_step",
     "boundary_contribution", "cg_solve", "direct_solve_small", "example1",
     "example2", "f_eval", "graded_grid", "integrate", "l2_error",
     "linf_error", "nonuniform_coeffs", "observed_order",

@@ -2,8 +2,8 @@
 
 L is the (negative definite) discrete Laplacian, so the shifted operator
 is symmetric positive definite for sigma, kappa > 0. The workhorse is a
-matrix-free conjugate gradient iteration; a dense direct factorization
-backs it as an oracle on small grids.
+matrix-free conjugate gradient iteration; an exact solve in the sine
+basis, where the operator is diagonal, backs it as an oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import SpaceGrid, apply_laplacian, assemble_dense, check_field
+from .spatial import (
+    SpaceGrid,
+    apply_laplacian,
+    check_field,
+    from_sine,
+    laplacian_eigenvalues,
+    to_sine,
+)
 
 
 @dataclass(frozen=True)
@@ -41,10 +48,6 @@ class ShiftedOperator:
         out *= self.kappa
         sigma_v = np.multiply(v, self.sigma, work)
         return np.subtract(sigma_v, out, out)
-
-    def as_dense(self) -> np.ndarray:
-        lap = assemble_dense(self.grid)  # size-guarded before np.eye allocates
-        return self.sigma * np.eye(lap.shape[0]) - self.kappa * lap
 
 
 class SolveFailure(RuntimeError):
@@ -159,6 +162,12 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
 
 
 def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> np.ndarray:
-    """Dense factorization solve; oracle on grids ``assemble_dense`` accepts."""
+    """Exact solve on any grid: sigma - kappa * lam divides each sine mode.
+
+    The name is older than the method: ``perfbench/tracer.py`` wraps
+    ``fisherkpp.stepper.direct_solve_small`` by name, so it stays until
+    that binding goes.
+    """
     rhs = check_field(rhs, op.grid)
-    return np.linalg.solve(op.as_dense(), rhs)
+    shift = op.sigma - op.kappa * laplacian_eigenvalues(op.grid)
+    return from_sine(to_sine(rhs, op.grid) / shift, op.grid)

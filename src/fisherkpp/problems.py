@@ -81,20 +81,6 @@ class ProblemSpec:
         return SpaceGrid(xa=xa, xb=xb, ya=ya, yb=yb, nx=nx, ny=ny)
 
 
-def compatibility_gap(spec: ProblemSpec, n_samples: int = 64) -> float:
-    """Max |boundary(.,.,0) - initial| over sampled boundary points."""
-    xa, xb, ya, yb = spec.domain
-    s = np.linspace(0.0, 1.0, n_samples)
-    xs = xa + (xb - xa) * s
-    ys = ya + (yb - ya) * s
-    gap = 0.0
-    for x, y in ((xs, ya), (xs, yb), (xa, ys), (xb, ys)):
-        bc = np.asarray(spec.boundary(x, y, 0.0), dtype=float)
-        u0 = np.asarray(spec.initial(x, y), dtype=float)
-        gap = max(gap, float(np.max(np.abs(bc - u0))))
-    return gap
-
-
 def example1(T: float = 1.0) -> ProblemSpec:
     """Manufactured solution sin(t) sin(x) sin(y) on [0, pi]^2.
 

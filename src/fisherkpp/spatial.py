@@ -13,8 +13,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-
-DENSE_LIMIT = 10_000
+from scipy.fft import dstn, idstn
 
 
 @dataclass(frozen=True)
@@ -171,17 +170,30 @@ def laplacian_eigenvalues(grid: SpaceGrid) -> np.ndarray:
     """Spectrum of ``apply_laplacian`` in the type-I sine basis.
 
     The sine modes sin(i*pi*x/Lx) sin(j*pi*y/Ly) diagonalise the 5-point
-    Laplacian with zero boundary values, so for a field U of shape
-    ``grid.shape``
+    Laplacian with zero boundary values, so for a field u
 
-        apply_laplacian(U) = idstn(lam * dstn(U))
+        apply_laplacian(u) = from_sine(lam * to_sine(u))
 
-    with ``scipy.fft`` transforms ``type=1, norm="ortho"`` and
-    lam[j-1, i-1] = -(4/hx^2) sin^2(i*pi/(2Nx)) - (4/hy^2) sin^2(j*pi/(2Ny)).
+    with lam[j-1, i-1] = -(4/hx^2) sin^2(i*pi/(2Nx)) - (4/hy^2) sin^2(j*pi/(2Ny)).
     """
     lx = -4.0 / grid.hx**2 * np.sin(np.pi * np.arange(1, grid.nx) / (2 * grid.nx)) ** 2
     ly = -4.0 / grid.hy**2 * np.sin(np.pi * np.arange(1, grid.ny) / (2 * grid.ny)) ** 2
     return ly[:, None] + lx[None, :]
+
+
+def to_sine(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
+    """Coefficients of the field u in the sine basis of
+    ``laplacian_eigenvalues``, an array of shape ``grid.shape``.
+
+    The ``scipy.fft`` DST ``type=1, norm="ortho"`` on both axes of the
+    x-fastest field. It is orthonormal, and ``from_sine`` is its inverse.
+    """
+    return dstn(np.reshape(u, grid.shape), type=1, norm="ortho")
+
+
+def from_sine(v: np.ndarray, grid: SpaceGrid) -> np.ndarray:
+    """The field, flattened x-fastest, whose sine coefficients are v."""
+    return idstn(np.reshape(v, grid.shape), type=1, norm="ortho").ravel()
 
 
 def boundary_contribution(bc, t: float, grid: SpaceGrid) -> np.ndarray:
@@ -198,34 +210,6 @@ def boundary_contribution(bc, t: float, grid: SpaceGrid) -> np.ndarray:
     terms = ring.weight * np.asarray(bc(ring.x, ring.y, t), dtype=float)
     # bincount sums each node's terms in ring order, starting from 0.0
     return np.bincount(ring.node, weights=terms, minlength=grid.n_interior)
-
-
-def _second_difference_1d(n_cells: int, h: float) -> np.ndarray:
-    m = n_cells - 1
-    a = np.zeros((m, m))
-    np.fill_diagonal(a, -2.0)
-    idx = np.arange(m - 1)
-    a[idx, idx + 1] = 1.0
-    a[idx + 1, idx] = 1.0
-    return a / h**2
-
-
-def assemble_dense(grid: SpaceGrid) -> np.ndarray:
-    """Kronecker-assembled dense Laplacian, for oracles and small solves.
-
-    L = I_y (x) A_x + A_y (x) I_x with tridiagonal A_x, A_y. Guarded to
-    ``DENSE_LIMIT`` interior nodes.
-    """
-    if grid.n_interior > DENSE_LIMIT:
-        raise ValueError(
-            f"dense assembly limited to {DENSE_LIMIT} interior nodes, "
-            f"requested {grid.n_interior}"
-        )
-    a_x = _second_difference_1d(grid.nx, grid.hx)
-    a_y = _second_difference_1d(grid.ny, grid.hy)
-    i_x = np.eye(grid.nx - 1)
-    i_y = np.eye(grid.ny - 1)
-    return np.kron(i_y, a_x) + np.kron(a_y, i_x)
 
 
 def field_to_csv(u: np.ndarray, grid: SpaceGrid, path, header_lines=()) -> None:

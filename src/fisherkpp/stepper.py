@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 # uniform_coeffs and direct_solve_small are unused here but stay bound:
 # perfbench/tracer.py wraps fisherkpp.stepper.uniform_coeffs and
@@ -34,7 +33,9 @@ from .spatial import (
     apply_laplacian,
     boundary_contribution,
     eval_interior,
+    from_sine,
     laplacian_eigenvalues,
+    to_sine,
 )
 from .timegrid import TimeGrid
 
@@ -222,18 +223,11 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
     failed = _check_interval(t0, t1)
     forcing = mol_forcing(problem, sgrid)
     lam = problem.D * laplacian_eigenvalues(sgrid)
-    shape = sgrid.shape
-
-    def to_sine(u):
-        return dstn(u.reshape(shape), type=1, norm="ortho")
-
-    def from_sine(v):
-        return idstn(v, type=1, norm="ortho").ravel()
 
     def n_hat(t, v):
-        return to_sine(forcing(t, from_sine(v)))
+        return to_sine(forcing(t, from_sine(v, sgrid)), sgrid)
 
-    v0 = to_sine(np.asarray(u0, dtype=float))
+    v0 = to_sine(np.asarray(u0, dtype=float), sgrid)
 
     def tables(z):
         return np.exp(z), phi_functions(z)
@@ -262,7 +256,7 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
             c = e2 * a + q * (2.0 * nb - nv)
             nc = n_hat(t + h, c)
             v = e * v + f1 * nv + f2 * (na + nb) + f3 * nc
-        u = from_sine(v)
+        u = from_sine(v, sgrid)
         if not np.isfinite(u).all():
             raise FloatingPointError(f"the field is not finite after {n} substeps")
         return u, half

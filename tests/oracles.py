@@ -58,6 +58,20 @@ def residual_sample_points(spec, count, seed):
     return zip(xs, ys, ts)
 
 
+def compatibility_gap(spec, n_samples=64):
+    """Max |boundary(.,.,0) - initial| over sampled boundary points."""
+    xa, xb, ya, yb = spec.domain
+    s = np.linspace(0.0, 1.0, n_samples)
+    xs = xa + (xb - xa) * s
+    ys = ya + (yb - ya) * s
+    gap = 0.0
+    for x, y in ((xs, ya), (xs, yb), (xa, ys), (xb, ys)):
+        bc = np.asarray(spec.boundary(x, y, 0.0), dtype=float)
+        u0 = np.asarray(spec.initial(x, y), dtype=float)
+        gap = max(gap, float(np.max(np.abs(bc - u0))))
+    return gap
+
+
 def lagrange_coeffs(t_prev, t_curr, t_next, beta):
     """Step weights from Lagrange basis polynomials.
 
@@ -74,6 +88,26 @@ def lagrange_coeffs(t_prev, t_curr, t_next, beta):
     c1 = (t_star - t_prev) / (t_curr - t_prev)
     c0 = (t_star - t_curr) / (t_prev - t_curr)
     return StepCoefficients(a=(a0, a1, a2), b=(b0, b1), c=(c0, c1), t_eval=t_star)
+
+
+def dense_laplacian(sgrid):
+    """The 5-point Laplacian with zero boundary values as a dense matrix,
+    assembled by np.kron from one tridiagonal second difference per axis:
+    L = I_y (x) A_x + A_y (x) I_x."""
+
+    def trid(m, h2):
+        t = np.zeros((m, m))
+        for i in range(m):
+            t[i, i] = -2.0 / h2
+            if i > 0:
+                t[i, i - 1] = 1.0 / h2
+            if i + 1 < m:
+                t[i, i + 1] = 1.0 / h2
+        return t
+
+    nx, ny = sgrid.nx, sgrid.ny
+    return np.kron(np.eye(ny - 1), trid(nx - 1, sgrid.hx**2)) \
+        + np.kron(trid(ny - 1, sgrid.hy**2), np.eye(nx - 1))
 
 
 def dense_step_oracle(problem, sgrid, t_prev, t_curr, t_next, beta,
@@ -108,19 +142,7 @@ def dense_step_oracle(problem, sgrid, t_prev, t_curr, t_next, beta,
                     out[j, i] += problem.boundary(xs[i], sgrid.yb, t) / hy2
         return out.ravel()
 
-    def trid(m, h2):
-        t = np.zeros((m, m))
-        for i in range(m):
-            t[i, i] = -2.0 / h2
-            if i > 0:
-                t[i, i - 1] = 1.0 / h2
-            if i + 1 < m:
-                t[i, i + 1] = 1.0 / h2
-        return t
-
-    L = np.kron(np.eye(ny - 1), trid(nx - 1, hx2)) \
-        + np.kron(trid(ny - 1, hy2), np.eye(nx - 1))
-
+    L = dense_laplacian(sgrid)
     D, K = problem.D, problem.K
     rhs = -a1 * u_curr - a0 * u_prev
     rhs += D * b0 * (L @ u_curr + lift(t_curr)) + D * b1 * lift(t_next)

@@ -184,6 +184,27 @@ def test_cmd_convergence_requires_exactly_one_axis(tmp_path, capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize("argv, violation", [
+    (["--sweep-n", "2,4", "-M", "4"],
+     "every sweep_n entry (an Nx = Ny) must be at least 3, got [2, 4]"),
+    (["--nx", "8", "--sweep-m", "1,2"],
+     "every sweep_m entry (an M) must be at least 2, got [1, 2]"),
+], ids=["sweep_n", "sweep_m"])
+def test_sweep_entry_below_its_key_bound_is_config_error(tmp_path, argv,
+                                                         violation, capsys):
+    out = tmp_path / "conv"
+    assert run_cli("convergence", "--example", "manufactured", *argv,
+                   "-o", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: {violation}\n"
+    assert not out.exists()
+
+
+def test_sweep_entry_violations_collected_with_the_others():
+    with pytest.raises(ConfigError) as info:
+        parse_config(overrides={"sweep_m": "1,4", "sweep_n": "8,2", "beta": "1"})
+    assert len(info.value.violations) == 3
+
+
 def test_cmd_convergence_writes_tables_per_combination(tmp_path):
     out = tmp_path / "conv"
     code = run_cli("convergence", "--example", "manufactured", "--nx", "8",

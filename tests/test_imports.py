@@ -55,6 +55,26 @@ def test_every_import_is_used_or_tracer_bound(path):
     assert not unused, f"{path.name} imports unused names {sorted(unused)}"
 
 
+def imported_paths(tree):
+    """Dotted path of every import: 'scipy.fft.dstn' for
+    ``from scipy.fft import dstn``, 'scipy.fft' for ``from scipy import fft``."""
+    paths = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            paths.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            paths.update(a.name for a in node.names)
+    return paths
+
+
+def test_only_spatial_imports_the_sine_transform():
+    # to_sine / from_sine in spatial.py own the DST-I convention
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if any(m == "scipy.fft" or m.startswith("scipy.fft.")
+                        for m in imported_paths(ast.parse(p.read_text())))]
+    assert importers == ["spatial.py"]
+
+
 @pytest.mark.parametrize("argv, starter, loaded", [
     (["--nx", "48", "-M", "6"], "etdrk4", False),
     (["--nx", "8", "-M", "6"], "dp54", True),

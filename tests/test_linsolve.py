@@ -7,9 +7,12 @@ from fisherkpp.linsolve import (
     cg_solve,
     direct_solve_small,
 )
-from fisherkpp.spatial import SpaceGrid
+from fisherkpp.coeffs import nonuniform_coeffs
+from fisherkpp.problems import example1, example2
+from fisherkpp.spatial import SpaceGrid, laplacian_eigenvalues
+from fisherkpp.timegrid import time_grid
 
-from oracles import cg_allocating
+from oracles import cg_allocating, dense_laplacian
 
 
 def operator(n, sigma=3.0, kappa=0.5):
@@ -195,10 +198,48 @@ def test_iterations_grow_under_refinement():
     assert iters[0] < iters[1] < iters[2]
 
 
-def test_direct_size_guard():
-    op = operator(200)
-    with pytest.raises(ValueError, match="limited to"):
-        direct_solve_small(op, np.zeros(op.grid.n_interior))
+@pytest.mark.parametrize("nx, ny", [(2, 2), (5, 9), (47, 33)])
+@pytest.mark.parametrize("sigma", [3.0, 1e-6])
+def test_direct_matches_dense_kronecker_solve(nx, ny, sigma):
+    g = SpaceGrid(0.0, 1.0, 0.0, 2.0, nx, ny)
+    op = ShiftedOperator(sigma=sigma, kappa=0.5, grid=g)
+    rhs = np.random.default_rng(nx * ny).standard_normal(g.n_interior)
+    want = np.linalg.solve(sigma * np.eye(g.n_interior) - 0.5 * dense_laplacian(g), rhs)
+    x = direct_solve_small(op, rhs)
+    assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def graded_step_operator(problem, grid, beta):
+    """The shifted operator of the worst-conditioned step of the graded
+    M = 80, gamma = 0.75 grid, and its 2-norm condition number."""
+    lam = laplacian_eigenvalues(grid)
+    nodes = time_grid(problem.T, 80, 0.75).nodes
+    worst = None
+    for n in range(1, 80):
+        cf = nonuniform_coeffs(nodes[n - 1], nodes[n], nodes[n + 1], beta)
+        sigma, kappa = cf.a[2], problem.D * cf.b[1]
+        cond = (sigma - kappa * lam.min()) / (sigma - kappa * lam.max())
+        if worst is None or cond > worst[1]:
+            worst = ShiftedOperator(sigma=sigma, kappa=kappa, grid=grid), cond
+    return worst
+
+
+@pytest.mark.parametrize("problem_fn, nx, ny, beta", [
+    (example2, 160, 160, np.pi),  # the graded wave run, 25,281 nodes
+    (example1, 161, 97, 2.0),
+])
+def test_cg_agrees_with_exact_solve_beyond_dense_reach(problem_fn, nx, ny, beta):
+    p = problem_fn()
+    op, cond = graded_step_operator(p, p.space_grid(nx, ny), beta)
+    rhs = np.random.default_rng(nx + ny).standard_normal(op.grid.n_interior)
+    exact = direct_solve_small(op, rhs)
+
+    def rel(x):
+        return np.linalg.norm(x - exact) / np.linalg.norm(exact)
+
+    assert rel(cg_solve(op, rhs, tol=1e-14).x) <= 1e-12
+    # ||x - x_k|| / ||x|| <= cond * ||r_k|| / ||b|| at the production tolerance
+    assert rel(cg_solve(op, rhs).x) <= cond * 1e-10
 
 
 def test_rejects_non_spd_parameters():

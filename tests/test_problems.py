@@ -5,14 +5,13 @@ from fisherkpp.problems import (
     LOGISTIC_P,
     PQ_PRODUCT,
     Nonlinearity,
-    compatibility_gap,
     example1,
     example2,
     f_eval,
     source_at_shifted_time,
 )
 
-from oracles import pde_residual, residual_sample_points as sample_points
+from oracles import compatibility_gap, pde_residual, residual_sample_points as sample_points
 
 
 def test_f_eval_values():

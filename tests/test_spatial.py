@@ -5,16 +5,21 @@ from scipy.fft import dstn, idstn
 from fisherkpp.problems import example1, example2
 from fisherkpp.spatial import (
     SpaceGrid,
-    _second_difference_1d,
     apply_laplacian,
-    assemble_dense,
     boundary_contribution,
     eval_interior,
     field_to_csv,
+    from_sine,
     laplacian_eigenvalues,
+    to_sine,
 )
 
-from oracles import field_to_csv_per_node, laplacian_slices, lifting_per_edge
+from oracles import (
+    dense_laplacian,
+    field_to_csv_per_node,
+    laplacian_slices,
+    lifting_per_edge,
+)
 
 
 def unit_pi_grid(n):
@@ -70,6 +75,23 @@ def test_laplacian_eigenvalues_diagonalise_the_stencil():
                      type=1, norm="ortho").ravel()
     want = apply_laplacian(u, g)
     assert np.abs(spectral - want).max() <= 1e-12 * np.abs(want).max()
+    # the library's transform pair is the same DST-I, bit for bit
+    assert np.array_equal(from_sine(lam * to_sine(u, g), g), spectral)
+
+
+def test_sine_transform_pair_is_orthonormal():
+    g = SpaceGrid(0.0, 1.0, 0.0, 2.0, 9, 6)
+    u = np.random.default_rng(4).standard_normal(g.n_interior)
+    v = to_sine(u, g)
+    assert v.shape == g.shape
+    assert abs(np.linalg.norm(v) - np.linalg.norm(u)) <= 1e-14 * np.linalg.norm(u)
+    np.testing.assert_allclose(from_sine(v, g), u, rtol=0, atol=1e-14)
+    # sine mode (i, j) = (2, 3) sits in entry [j - 1, i - 1] alone
+    w = to_sine(eval_interior(
+        lambda x, y: np.sin(2 * np.pi * x) * np.sin(1.5 * np.pi * y), g), g)
+    others = np.ones(g.shape, dtype=bool)
+    others[2, 1] = False
+    assert np.abs(w[others]).max() <= 1e-13 * abs(w[2, 1])
 
 
 def test_grid_rejects_degenerate():
@@ -96,37 +118,21 @@ def test_sine_mode_is_discrete_eigenvector():
 def test_matvec_matches_dense_kronecker():
     rng = np.random.default_rng(0)
     g = SpaceGrid(0.0, 1.0, 0.0, 2.0, 7, 7)  # 6x6 interior
-    L = assemble_dense(g)
+    L = dense_laplacian(g)
     for _ in range(5):
         u = rng.standard_normal(g.n_interior)
         np.testing.assert_allclose(apply_laplacian(u, g), L @ u,
                                    rtol=1e-13, atol=1e-13 * np.abs(L @ u).max())
 
 
-def test_dense_1d_slice_is_scaled_tridiagonal():
-    a = _second_difference_1d(4, 0.5)
-    expect = (1.0 / 0.25) * np.array([
-        [-2.0, 1.0, 0.0],
-        [1.0, -2.0, 1.0],
-        [0.0, 1.0, -2.0],
-    ])
-    np.testing.assert_array_equal(a, expect)
-
-
 def test_dense_is_symmetric_negative_definite():
     g = SpaceGrid(0.0, 1.0, 0.0, 1.0, 6, 5)
-    L = assemble_dense(g)
+    L = dense_laplacian(g)
     np.testing.assert_array_equal(L, L.T)
     rng = np.random.default_rng(3)
     for _ in range(10):
         u = rng.standard_normal(g.n_interior)
         assert u @ (L @ u) < 0.0
-
-
-def test_dense_size_guard():
-    g = SpaceGrid(0.0, 1.0, 0.0, 1.0, 200, 200)
-    with pytest.raises(ValueError):
-        assemble_dense(g)
 
 
 def test_zero_boundary_contributes_nothing():

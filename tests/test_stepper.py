@@ -414,13 +414,13 @@ def test_integrate_stops_when_solve_meets_nan():
 
 
 def test_integrate_stops_on_non_finite_field(monkeypatch):
-    # a solve that passes NaN through, as a dense solve does; the step's
-    # check must stop it
-    def dense_solve(op, rhs, **kw):
+    # a solve that passes NaN through, as the exact sine-basis solve
+    # does; the step's check must stop it
+    def exact_solve(op, rhs, **kw):
         return CGResult(x=direct_solve_small(op, rhs), iterations=0,
                         residuals=[0.0])
 
-    monkeypatch.setattr(stepper, "cg_solve", dense_solve)
+    monkeypatch.setattr(stepper, "cg_solve", exact_solve)
     p = nan_source_after(example1(), 0.5)
     g = p.space_grid(8, 8)
     with pytest.raises(RuntimeError, match=r"step 4 \(t=0.5\)") as info:
