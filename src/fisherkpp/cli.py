@@ -187,13 +187,22 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
         violations.append(f"beta must exceed 1, got {cfg.beta}")
     if cfg.m < 2:
         violations.append(f"M must be at least 2, got {cfg.m}")
-    if cfg.sweep_m is not None and min(cfg.sweep_m, default=2) < 2:
-        violations.append(f"every sweep_m entry (an M) must be at least 2, got {cfg.sweep_m}")
     if cfg.nx < 3 or cfg.resolved_ny() < 3:
         violations.append(f"Nx, Ny must be at least 3, got {cfg.nx}, {cfg.resolved_ny()}")
-    if cfg.sweep_n is not None and min(cfg.sweep_n, default=3) < 3:
-        violations.append(f"every sweep_n entry (an Nx = Ny) must be at least 3, "
-                          f"got {cfg.sweep_n}")
+    # one violation per sweep list: its entries' bound, else its shape
+    for key, label, entry, least in (("sweep_m", "M", "an M", 2),
+                                     ("sweep_n", "N", "an Nx = Ny", 3)):
+        values = getattr(cfg, key)
+        if values is None:
+            continue
+        if min(values, default=least) < least:
+            violations.append(f"every {key} entry ({entry}) must be at least "
+                              f"{least}, got {values}")
+            continue
+        try:
+            analysis._check_doubling(values, label)
+        except ValueError as exc:
+            violations.append(f"bad value for {key!r}: {exc}")
     if cfg.gamma is not None and cfg.gamma <= 0:
         violations.append(f"gamma must be positive, got {cfg.gamma}")
     if cfg.t_final <= 0:

@@ -15,6 +15,8 @@ import numpy as np
 
 from .spatial import (
     SpaceGrid,
+    _laplacian_plan,
+    _stencil,
     apply_laplacian,
     check_field,
     from_sine,
@@ -45,9 +47,14 @@ class ShiftedOperator:
         from ``v`` and from each other, allocated when not given.
         """
         out = apply_laplacian(v, self.grid, out=out, work=work)
-        out *= self.kappa
+        return self._shift(v, out, work)
+
+    def _shift(self, v: np.ndarray, lap: np.ndarray,
+               work: np.ndarray | None) -> np.ndarray:
+        """sigma * v - kappa * lap, into ``lap``, given lap = L v."""
+        lap *= self.kappa
         sigma_v = np.multiply(v, self.sigma, work)
-        return np.subtract(sigma_v, out, out)
+        return np.subtract(sigma_v, lap, lap)
 
 
 class SolveFailure(RuntimeError):
@@ -113,12 +120,16 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     if not math.isfinite(b_norm):
         raise SolveFailure(f"CG right-hand side is not finite (norm {b_norm})",
                            best_x=x, residual=b_norm, iterations=0)
-    # work buffers for the whole solve: each iteration allocates nothing
-    # (the ufuncs take their output positionally, as in apply_laplacian)
-    q, w = np.empty_like(rhs), np.empty_like(rhs)
-    r = rhs - op.apply(x, out=q, work=w)
+    # work buffers and the stencil's plan for the whole solve: an
+    # iteration allocates nothing and builds no views (the ufuncs take
+    # their output positionally, as in the stencil)
+    p, q, w = np.empty_like(rhs), np.empty_like(rhs), np.empty_like(rhs)
+    plan = _laplacian_plan(p, op.grid, q, w)
+    # the initial residual takes x through p, so that one plan serves it too
+    np.copyto(p, x)
+    r = rhs - op._shift(p, _stencil(plan), w)
     rr = float(r @ r)
-    p = r.copy()
+    np.copyto(p, r)
 
     res = math.sqrt(rr)
     history = [res]
@@ -142,7 +153,7 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
                 best_x=x.copy() if best_x is None else best_x,
                 residual=best_res, iterations=k,
             )
-        op.apply(p, out=q, work=w)
+        op._shift(p, _stencil(plan), w)
         alpha = rr / float(p @ q)
         x += np.multiply(p, alpha, w)
         r -= np.multiply(q, alpha, w)

@@ -133,6 +133,37 @@ def apply_laplacian(u: np.ndarray, grid: SpaceGrid, out: np.ndarray | None = Non
     ``out`` receives the result and ``work`` serves as scratch: 1D float
     fields of the interior's length that share no memory with ``u`` or
     with each other, allocated when not given. Returns ``out``.
+    """
+    u = check_field(u, grid)
+    if out is None:
+        out = np.empty(grid.n_interior)
+    if work is None:
+        work = np.empty(grid.n_interior)
+    return _stencil(_laplacian_plan(u, grid, out, work))
+
+
+def _laplacian_plan(u: np.ndarray, grid: SpaceGrid, out: np.ndarray,
+                    work: np.ndarray) -> tuple:
+    """What ``_stencil`` needs to write the Laplacian of ``u`` into ``out``.
+
+    A plain tuple of the stencil weights and of views of the three
+    buffers, which ``apply_laplacian`` describes. A plan stays valid while
+    its buffers live, so a caller that rewrites ``u`` in place, as CG
+    does, builds it once and runs the stencil on it again and again.
+    """
+    cols = grid.nx - 1
+    ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
+    last, first = slice(cols - 1, None, cols), slice(0, None, cols)
+    # each out view holds the nodes that have an entry to the left (right,
+    # below, above) in the flat field, the work view after it that entry
+    return (u, out, work, -2.0 * (ax + ay), ax, ay,
+            u[last], work[last], work[first],
+            out[1:], work[:-1], out[:-1], work[1:],
+            out[cols:], work[:-cols], out[:-cols], work[cols:])
+
+
+def _stencil(plan: tuple) -> np.ndarray:
+    """Run a ``_laplacian_plan``; returns its ``out``.
 
     The neighbour terms are shifts of the flat field, by one entry along
     x and by one row along y: unit-stride loops, where 2D column slices
@@ -141,28 +172,22 @@ def apply_laplacian(u: np.ndarray, grid: SpaceGrid, out: np.ndarray | None = Non
     the exact additive identity, where +0.0 turns -0.0 into +0.0. Each
     node adds its terms centre, left, right, below, above.
     """
-    u = check_field(u, grid)
-    cols = grid.nx - 1
-    ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    if out is None:
-        out = np.empty(grid.n_interior)
-    if work is None:
-        work = np.empty(grid.n_interior)
+    (u, out, work, centre, ax, ay, u_last, work_last, work_first,
+     has_left, left, has_right, right, has_below, below, has_above, above) = plan
     # the ufuncs take their output positionally, which on small grids is
     # measurably cheaper than the out= keyword
-    np.multiply(-2.0 * (ax + ay), u, out)
+    np.multiply(centre, u, out)
     # one scaled copy per axis, reused for both neighbours along it
     np.multiply(ax, u, work)
-    last, first = slice(cols - 1, None, cols), slice(0, None, cols)
-    work[last] = -0.0
-    out[1:] += work[:-1]
+    work_last.fill(-0.0)
+    np.add(has_left, left, has_left)
     # the right shift wraps the first column instead of the last
-    np.multiply(ax, u[last], work[last])
-    work[first] = -0.0
-    out[:-1] += work[1:]
+    np.multiply(ax, u_last, work_last)
+    work_first.fill(-0.0)
+    np.add(has_right, right, has_right)
     np.multiply(ay, u, work)
-    out[cols:] += work[:-cols]
-    out[:-cols] += work[cols:]
+    np.add(has_below, below, has_below)
+    np.add(has_above, above, has_above)
     return out
 
 

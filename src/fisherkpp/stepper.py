@@ -299,15 +299,22 @@ def start_level(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
 
 def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, t_prev: float,
                   t_curr: float, t_next: float, beta: float,
-                  problem: ProblemSpec, sgrid: SpaceGrid
+                  problem: ProblemSpec, sgrid: SpaceGrid,
+                  liftings: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> tuple[np.ndarray, CGResult]:
     """One implicit-explicit step from t_curr to t_next.
 
     The weights and the shifted time t* = t_curr + beta * (t_next - t_curr)
-    come from the node triple (t_prev, t_curr, t_next). Returns u^{n+1}
-    and the CG result of its solve, warm-started from u^n at the default
-    tolerance of ``cg_solve``.
+    come from the node triple (t_prev, t_curr, t_next). ``liftings`` holds
+    the Dirichlet liftings bc_n and bc_{n+1} at t_curr and t_next, which
+    the step reads and never writes; they are evaluated when not given.
+    Returns u^{n+1} and the CG result of its solve, warm-started from u^n
+    at the default tolerance of ``cg_solve``.
     """
+    if liftings is None:
+        liftings = (boundary_contribution(problem.boundary, t_curr, sgrid),
+                    boundary_contribution(problem.boundary, t_next, sgrid))
+    bc_curr, bc_next = liftings
     coeffs = nonuniform_coeffs(t_prev, t_curr, t_next, beta)
     a0, a1, a2 = coeffs.a
     b0, b1 = coeffs.b
@@ -320,18 +327,15 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, t_prev: float,
     tmp = np.multiply(u_prev, a0)
     rhs -= tmp
     lap = apply_laplacian(u_curr, sgrid, work=tmp)
-    lap += boundary_contribution(problem.boundary, t_curr, sgrid)
+    lap += bc_curr
     lap *= D * b0
     rhs += lap
-    lift = boundary_contribution(problem.boundary, t_next, sgrid)
-    lift *= D * b1
-    rhs += lift
+    rhs += np.multiply(bc_next, D * b1, tmp)
     if K != 0.0:
         u_explicit = np.multiply(u_curr, c1, out=tmp)
         u_explicit += np.multiply(u_prev, c0, out=lap)
-        reaction = f_eval(u_explicit, problem.nonlinearity)
-        reaction *= K
-        rhs += reaction
+        # K * f goes into tmp, so f's own array is freed before the solve
+        rhs += np.multiply(f_eval(u_explicit, problem.nonlinearity), K, tmp)
     rhs += source_at_shifted_time(problem, coeffs.t_eval, sgrid)
 
     op = ShiftedOperator(sigma=a2, kappa=D * b1, grid=sgrid)
@@ -367,12 +371,16 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
     u_curr, starter = start_level(problem, sgrid, nodes[0], nodes[1], u_prev)
 
     report = RunReport(starter)
+    # each step hands its t_{n+1} lifting on to the next as its t_n one
+    bc_next = boundary_contribution(problem.boundary, nodes[1], sgrid)
     for n in range(1, tgrid.M):
         t_step = time.perf_counter()
         try:
+            bc_curr = bc_next
+            bc_next = boundary_contribution(problem.boundary, nodes[n + 1], sgrid)
             u_next, solve = bdf_imex_step(
                 u_prev, u_curr, nodes[n - 1], nodes[n], nodes[n + 1], beta,
-                problem, sgrid,
+                problem, sgrid, liftings=(bc_curr, bc_next),
             )
             if not np.isfinite(u_next).all():
                 raise FloatingPointError("the new field is not finite")

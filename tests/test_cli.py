@@ -189,7 +189,14 @@ def test_cmd_convergence_requires_exactly_one_axis(tmp_path, capsys):
      "every sweep_n entry (an Nx = Ny) must be at least 3, got [2, 4]"),
     (["--nx", "8", "--sweep-m", "1,2"],
      "every sweep_m entry (an M) must be at least 2, got [1, 2]"),
-], ids=["sweep_n", "sweep_m"])
+    # a list's shape is checked with the same collected violations
+    (["--nx", "8", "--sweep-m", "8,4"],
+     "bad value for 'sweep_m': M list must increase by factors of 2, got [8, 4]"),
+    (["--nx", "8", "--sweep-m", ""],
+     "bad value for 'sweep_m': M sweep list is empty"),
+    (["-M", "4", "--sweep-n", "4,4"],
+     "bad value for 'sweep_n': N list must increase by factors of 2, got [4, 4]"),
+], ids=["sweep_n", "sweep_m", "sweep_m_decreasing", "sweep_m_empty", "sweep_n_repeated"])
 def test_sweep_entry_below_its_key_bound_is_config_error(tmp_path, argv,
                                                          violation, capsys):
     out = tmp_path / "conv"

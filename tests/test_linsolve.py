@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fisherkpp import linsolve
 from fisherkpp.linsolve import (
     ShiftedOperator,
     SolveFailure,
@@ -145,6 +146,26 @@ def test_iterates_match_allocating_reference(nx, ny):
         assert np.array_equal(out.x, x)
         assert out.iterations == iterations
         assert out.residuals == history
+
+
+def test_cg_builds_its_stencil_plan_once(monkeypatch):
+    # the plan's views serve every iteration of a solve, however many
+    rng = np.random.default_rng(23)
+    op = operator(16, sigma=1.0, kappa=1.0)
+    rhs = rng.standard_normal(op.grid.n_interior)
+    plans, build = [], linsolve._laplacian_plan
+
+    def counting(*args):
+        plans.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(linsolve, "_laplacian_plan", counting)
+    iterations = []
+    for tol in (1e-2, 1e-6, 1e-12):
+        plans.clear()
+        iterations.append(cg_solve(op, rhs, tol=tol).iterations)
+        assert len(plans) == 1
+    assert 1 < iterations[0] < iterations[1] < iterations[2]
 
 
 def test_apply_writes_into_given_buffers():

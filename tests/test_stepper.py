@@ -375,6 +375,37 @@ def test_integrate_is_deterministic():
             == (sb.step, sb.t, sb.cg_iters, sb.residual)
 
 
+def test_integrate_evaluates_each_lifting_once(monkeypatch):
+    # each step's t_{n+1} lifting is the next step's t_n one; the steps
+    # must match steps that evaluate both liftings themselves, so a
+    # shared lifting is never scaled in place
+    p = example2()
+    g = p.space_grid(10, 7)
+    tg = graded_grid(1.0, 6, 0.75)
+    nodes = tg.nodes
+    real_start, real_lifting = stepper.start_level, stepper.boundary_contribution
+    times, starts = [], []
+
+    def counting(bc, t, sgrid):
+        times.append(t)
+        return real_lifting(bc, t, sgrid)
+
+    def start_then_count(*args):
+        starts.append(real_start(*args))
+        monkeypatch.setattr(stepper, "boundary_contribution", counting)
+        return starts[-1]
+
+    monkeypatch.setattr(stepper, "start_level", start_then_count)
+    u, _ = integrate(p, tg, g, math.pi)
+    assert times == list(nodes[1:])
+    monkeypatch.setattr(stepper, "boundary_contribution", real_lifting)
+    u_prev, u_curr = eval_interior(p.initial, g), starts[0][0]
+    for n in range(1, tg.M):
+        u_next, _ = bdf_imex_step(u_prev, u_curr, *nodes[n - 1:n + 2], math.pi, p, g)
+        u_prev, u_curr = u_curr, u_next
+    assert np.array_equal(u, u_curr)
+
+
 def test_integrate_reports_failing_step(monkeypatch):
     # CG capped at one iteration cannot meet the tolerance on the first step
     monkeypatch.setattr(stepper, "cg_solve", partial(cg_solve, max_iter=1))
