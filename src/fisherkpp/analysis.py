@@ -99,9 +99,13 @@ def exact_final_field(problem: ProblemSpec, grid: SpaceGrid, t: float) -> np.nda
 
 
 def final_errors(problem: ProblemSpec, tgrid, sgrid: SpaceGrid,
-                 beta: float) -> tuple[float, float]:
-    """Run one integration and measure (Linf, L2) against the exact field."""
-    u, _ = integrate(problem, tgrid, sgrid, beta)
+                 beta: float, starts: dict | None = None) -> tuple[float, float]:
+    """Run one integration and measure (Linf, L2) against the exact field.
+
+    ``starts`` is handed to ``integrate``, which shares start levels
+    through it.
+    """
+    u, _ = integrate(problem, tgrid, sgrid, beta, starts)
     exact = exact_final_field(problem, sgrid, tgrid.T)
     return linf_error(u, exact), l2_error(u, exact, sgrid)
 
@@ -140,11 +144,13 @@ def _grid_label(gamma):
 
 def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
                    ny: int | None = None, gamma: float | None = None,
-                   runner=None) -> ConvergenceTable:
+                   runner=None, starts: dict | None = None) -> ConvergenceTable:
     """Refine the step count M at fixed spatial resolution.
 
     ``runner``, when given, replaces the integration: a callable
     m -> (linf, l2). Used for instrumentation and synthetic fixtures.
+    ``starts`` lets sweeps over several betas share their start levels
+    (see ``integrate``).
     """
     m_values = _check_doubling(m_values, "M")
     ny = nx if ny is None else ny
@@ -153,7 +159,8 @@ def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
     def one_run(m):
         if runner is not None:
             return runner(m)
-        return final_errors(problem, time_grid(problem.T, m, gamma), sgrid, beta)
+        return final_errors(problem, time_grid(problem.T, m, gamma), sgrid,
+                            beta, starts)
 
     errors = [one_run(m) for m in m_values]
     meta = {"axis": "temporal", "example": problem.name, "beta": f"{beta:.12g}",
@@ -163,10 +170,11 @@ def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
 
 def spatial_sweep(problem: ProblemSpec, beta: float, n_values, m_steps: int,
                   gamma: float | None = None,
-                  runner=None) -> ConvergenceTable:
+                  runner=None, starts: dict | None = None) -> ConvergenceTable:
     """Refine the spatial resolution N = Nx = Ny at fixed step count M.
 
     M must be large enough that the temporal error is subdominant.
+    ``runner`` and ``starts`` are as in ``temporal_sweep``.
     """
     n_values = _check_doubling(n_values, "N")
 
@@ -174,7 +182,7 @@ def spatial_sweep(problem: ProblemSpec, beta: float, n_values, m_steps: int,
         if runner is not None:
             return runner(n)
         return final_errors(problem, time_grid(problem.T, m_steps, gamma),
-                            problem.space_grid(n, n), beta)
+                            problem.space_grid(n, n), beta, starts)
 
     errors = [one_run(n) for n in n_values]
     meta = {"axis": "spatial", "example": problem.name, "beta": f"{beta:.12g}",

@@ -209,6 +209,11 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
         violations.append(f"t_final must be positive, got {cfg.t_final}")
     if cfg.betas is not None and any(b <= 1.0 for b in cfg.betas):
         violations.append(f"every beta must exceed 1, got {cfg.betas}")
+    # each entry names its own table files, which a repeat would overwrite
+    for key, label_of in (("betas", _beta_label), ("grids", _grid_label)):
+        labels = [label_of(value) for value in getattr(cfg, key) or ()]
+        for label in dict.fromkeys(la for la in labels if labels.count(la) > 1):
+            violations.append(f"key {key!r} repeats the output label {label!r}")
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -255,6 +260,10 @@ def _beta_label(beta: float) -> str:
     return f"{beta:.6g}"
 
 
+def _grid_label(gamma: float | None) -> str:
+    return "uniform" if gamma is None else f"gamma{gamma:g}"
+
+
 def cmd_convergence(cfg: RunConfig) -> int:
     if (cfg.sweep_m is None) == (cfg.sweep_n is None):
         raise ConfigError(["exactly one of sweep_m / sweep_n must be set"])
@@ -273,21 +282,22 @@ def cmd_convergence(cfg: RunConfig) -> int:
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     header = [f"config={cfg.hash()}"]
+    # u^1 does not depend on beta: every beta marches from one start per grid
+    starts = {}
 
     for beta in betas:
         for gamma in grids:
             if cfg.sweep_m is not None:
                 table = analysis.temporal_sweep(
                     problem, beta, cfg.sweep_m, cfg.nx, cfg.resolved_ny(),
-                    gamma=gamma,
+                    gamma=gamma, starts=starts,
                 )
             else:
                 table = analysis.spatial_sweep(
                     problem, beta, cfg.sweep_n, cfg.m,
-                    gamma=gamma,
+                    gamma=gamma, starts=starts,
                 )
-            label = "uniform" if gamma is None else f"gamma{gamma:g}"
-            stem = f"{table.axis}_beta{_beta_label(beta)}_{label}"
+            stem = f"{table.axis}_beta{_beta_label(beta)}_{_grid_label(gamma)}"
             table.write_csv(out / f"{stem}.csv", header_lines=header)
             table.write_plot_data(out / f"{stem}_plot.csv", header_lines=header)
             last = table.rows[-1]

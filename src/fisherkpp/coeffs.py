@@ -85,6 +85,12 @@ def vandermonde_condition(t_prev: float, t_curr: float, t_next: float,
     scaling all three nodes leaves it unchanged.
     """
     t_star = _check_nodes(t_prev, t_curr, t_next, beta)
+    return _condition(t_prev, t_curr, t_next, t_star)
+
+
+def _condition(t_prev: float, t_curr: float, t_next: float,
+               t_star: float) -> float:
+    """``vandermonde_condition`` of a checked triple with shifted time t*."""
     step = t_next - t_curr
     d = [(t - t_star) / step for t in (t_prev, t_curr, t_next)]
     # V has columns (1, d_j, d_j^2). Row j of V^-1 holds the monomial
@@ -118,7 +124,7 @@ def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float, beta: float,
         (``vandermonde_condition``) exceeds ``cond_limit``.
     """
     t_star = _check_nodes(t_prev, t_curr, t_next, beta)
-    if vandermonde_condition(t_prev, t_curr, t_next, beta) > cond_limit:
+    if _condition(t_prev, t_curr, t_next, t_star) > cond_limit:
         raise CoefficientError(
             f"near-degenerate node triple ({t_prev}, {t_curr}, {t_next}): "
             f"Vandermonde condition exceeds {cond_limit:g}"

@@ -78,7 +78,8 @@ class CGResult:
 
 
 def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
-             max_iter: int | None = None, x0: np.ndarray | None = None) -> CGResult:
+             max_iter: int | None = None, x0: np.ndarray | None = None,
+             lap_x0: np.ndarray | None = None) -> CGResult:
     """Conjugate gradients to relative residual ``tol``.
 
     Parameters
@@ -93,6 +94,10 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
         Iteration cap; defaults to 10 * (Nx + Ny).
     x0 : ndarray, optional
         Warm start (default zero).
+    lap_x0 : ndarray, optional
+        ``apply_laplacian(x0)``, when the caller has it already; the
+        initial residual then takes it instead of running the stencil.
+        It is read, never written. Needs ``x0``.
 
     Returns
     -------
@@ -107,6 +112,8 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
         right-hand side or a residual is not finite.
     """
     rhs = check_field(rhs, op.grid)
+    if lap_x0 is not None and x0 is None:
+        raise ValueError("lap_x0 needs the warm start x0 it was taken of")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if max_iter is None:
@@ -125,9 +132,14 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     # their output positionally, as in the stencil)
     p, q, w = np.empty_like(rhs), np.empty_like(rhs), np.empty_like(rhs)
     plan = _laplacian_plan(p, op.grid, q, w)
-    # the initial residual takes x through p, so that one plan serves it too
-    np.copyto(p, x)
-    r = rhs - op._shift(p, _stencil(plan), w)
+    # L x goes into q, from the caller or through p, so that one plan
+    # serves the initial residual too
+    if lap_x0 is None:
+        np.copyto(p, x)
+        _stencil(plan)
+    else:
+        np.copyto(q, check_field(lap_x0, op.grid))
+    r = rhs - op._shift(x, q, w)
     rr = float(r @ r)
     np.copyto(p, r)
 

@@ -42,12 +42,14 @@ def f_eval(u, nl: Nonlinearity):
     if not float(nl.p).is_integer() and u.min() < 0.0:
         raise ValueError(f"{nl.form}: u**p with non-integer p={nl.p} is "
                          f"undefined at u={float(u.min())!r} < 0")
+    # a power of 1 returns its base exactly, so it is skipped, not copied
+    u_p = u if nl.p == 1 else u**nl.p
     if nl.form == LOGISTIC_P:
-        return u * (1.0 - u**nl.p)
+        return u * (1.0 - u_p)
     if not float(nl.q).is_integer() and u.max() > 1.0:
         raise ValueError(f"{nl.form}: (1 - u)**q with non-integer q={nl.q} is "
                          f"undefined at u={float(u.max())!r} > 1")
-    return u**nl.p * (1.0 - u) ** nl.q
+    return u_p * (1.0 - u if nl.q == 1 else (1.0 - u) ** nl.q)
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,11 @@ class ProblemSpec:
     The lifting calls ``boundary`` once per evaluation time, with x and y
     equal-shape 1D arrays holding the coordinates of the whole boundary
     ring (``SpaceGrid.boundary_ring``); it returns values of that shape
-    or a scalar.
+    or a scalar. ``initial``, ``source`` and ``exact`` are sampled through
+    ``eval_interior``, with x a row and y a column of interior
+    coordinates; they return any shape that broadcasts to the interior
+    lattice, a scalar included. A constant is best returned as a scalar:
+    the caller fills its own array either way.
     """
 
     name: str
@@ -92,8 +98,9 @@ def example1(T: float = 1.0) -> ProblemSpec:
         return np.sin(t) * np.sin(x) * np.sin(y)
 
     def source(x, y, t):
-        s = np.sin(t) * np.sin(x) * np.sin(y)
-        return s * (1.0 + s) + np.cos(t) * np.sin(x) * np.sin(y)
+        sin_x, sin_y = np.sin(x), np.sin(y)
+        s = np.sin(t) * sin_x * sin_y
+        return s * (1.0 + s) + np.cos(t) * sin_x * sin_y
 
     return ProblemSpec(
         name="manufactured",
@@ -102,8 +109,8 @@ def example1(T: float = 1.0) -> ProblemSpec:
         D=1.0,
         K=1.0,
         nonlinearity=Nonlinearity(LOGISTIC_P, p=1),
-        boundary=lambda x, y, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
-        initial=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
+        boundary=lambda x, y, t: 0.0,
+        initial=lambda x, y: 0.0,
         source=source,
         exact=exact,
     )

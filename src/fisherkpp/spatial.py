@@ -115,11 +115,15 @@ def eval_interior(fn, grid: SpaceGrid, t: float | None = None) -> np.ndarray:
 
     fn receives the coordinates on broadcast axes, x of shape (1, Nx-1)
     and y of shape (Ny-1, 1), so a separable expression costs O(N)
-    transcendental calls instead of O(N^2).
+    transcendental calls instead of O(N^2). It may return any shape that
+    broadcasts to ``grid.shape``, a scalar included; the result is a new
+    array, whatever fn returned.
     """
     x, y = grid.xs[None, :], grid.ys[:, None]
     vals = fn(x, y) if t is None else fn(x, y, t)
-    return np.broadcast_to(np.asarray(vals, dtype=float), grid.shape).ravel().copy()
+    out = np.empty(grid.n_interior)
+    np.copyto(out.reshape(grid.shape), vals)
+    return out
 
 
 def apply_laplacian(u: np.ndarray, grid: SpaceGrid, out: np.ndarray | None = None,

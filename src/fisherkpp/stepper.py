@@ -308,8 +308,9 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, t_prev: float,
     come from the node triple (t_prev, t_curr, t_next). ``liftings`` holds
     the Dirichlet liftings bc_n and bc_{n+1} at t_curr and t_next, which
     the step reads and never writes; they are evaluated when not given.
-    Returns u^{n+1} and the CG result of its solve, warm-started from u^n
-    at the default tolerance of ``cg_solve``.
+    Returns u^{n+1} and the CG result of its solve, warm-started from u^n,
+    with the step's own L u^n for the initial residual, at the default
+    tolerance of ``cg_solve``.
     """
     if liftings is None:
         liftings = (boundary_contribution(problem.boundary, t_curr, sgrid),
@@ -322,29 +323,36 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, t_prev: float,
     D, K = problem.D, problem.K
 
     # the formula of the module docstring, evaluated term by term as
-    # written, in one buffer with two temporaries
+    # written, in one buffer with two temporaries; the second holds L u^n
+    # for the solve's initial residual, so the reaction, whose explicit
+    # value needs both temporaries, is evaluated before the Laplacian
     rhs = np.multiply(u_curr, -a1)
     tmp = np.multiply(u_prev, a0)
     rhs -= tmp
-    lap = apply_laplacian(u_curr, sgrid, work=tmp)
-    lap += bc_curr
-    lap *= D * b0
-    rhs += lap
-    rhs += np.multiply(bc_next, D * b1, tmp)
+    lap = np.empty_like(rhs)
     if K != 0.0:
         u_explicit = np.multiply(u_curr, c1, out=tmp)
         u_explicit += np.multiply(u_prev, c0, out=lap)
-        # K * f goes into tmp, so f's own array is freed before the solve
-        rhs += np.multiply(f_eval(u_explicit, problem.nonlinearity), K, tmp)
+        reaction = f_eval(u_explicit, problem.nonlinearity)
+        reaction *= K
+    apply_laplacian(u_curr, sgrid, out=lap, work=tmp)
+    np.add(lap, bc_curr, tmp)
+    tmp *= D * b0
+    rhs += tmp
+    rhs += np.multiply(bc_next, D * b1, tmp)
+    if K != 0.0:
+        rhs += reaction
+        del reaction  # freed before the solve
     rhs += source_at_shifted_time(problem, coeffs.t_eval, sgrid)
 
     op = ShiftedOperator(sigma=a2, kappa=D * b1, grid=sgrid)
-    result = cg_solve(op, rhs, x0=u_curr)
+    result = cg_solve(op, rhs, x0=u_curr, lap_x0=lap)
     return result.x, result
 
 
 def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
-              beta: float) -> tuple[np.ndarray, RunReport]:
+              beta: float, starts: dict | None = None
+              ) -> tuple[np.ndarray, RunReport]:
     """March from the initial data to t = T.
 
     Parameters
@@ -352,6 +360,11 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
     problem, tgrid, sgrid : problem instance and discretization.
     beta : float
         Shift parameter, > 1.
+    starts : dict, optional
+        Start levels shared by several integrations, such as the betas of
+        a sweep: u^1 does not depend on beta. Maps (problem, sgrid, t0,
+        t1) to ``start_level``'s (u^1, record), u^1 read-only. A start
+        that is missing is computed here and stored.
 
     Returns
     -------
@@ -368,7 +381,14 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
     """
     nodes = tgrid.nodes
     u_prev = eval_interior(problem.initial, sgrid)
-    u_curr, starter = start_level(problem, sgrid, nodes[0], nodes[1], u_prev)
+    key = (problem, sgrid, float(nodes[0]), float(nodes[1]))
+    if starts is not None and key in starts:
+        u_curr, starter = starts[key]
+    else:
+        u_curr, starter = start_level(problem, sgrid, nodes[0], nodes[1], u_prev)
+        if starts is not None:
+            u_curr.setflags(write=False)
+            starts[key] = u_curr, starter
 
     report = RunReport(starter)
     # each step hands its t_{n+1} lifting on to the next as its t_n one

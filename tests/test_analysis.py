@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fisherkpp import analysis, stepper
 from fisherkpp.analysis import (
     ConvergenceTable,
     l2_error,
@@ -110,6 +111,60 @@ def test_small_real_sweep_is_deterministic():
     t1 = temporal_sweep(p, 2.0, [4, 8], 8)
     t2 = temporal_sweep(p, 2.0, [4, 8], 8)
     assert t1.rows == t2.rows
+
+
+def counted_starts(monkeypatch):
+    """Record every start_level call, with whether an integration is open."""
+    calls, open_runs = [], []
+    real_start, real_integrate = stepper.start_level, analysis.integrate
+
+    def start(problem, sgrid, t0, t1, u0):
+        calls.append(((sgrid.nx, sgrid.ny, t0, t1), bool(open_runs)))
+        return real_start(problem, sgrid, t0, t1, u0)
+
+    def integrate(*args, **kwargs):
+        open_runs.append(args)
+        try:
+            return real_integrate(*args, **kwargs)
+        finally:
+            open_runs.pop()
+
+    monkeypatch.setattr(stepper, "start_level", start)
+    monkeypatch.setattr(analysis, "integrate", integrate)
+    return calls
+
+
+BETAS = (math.sqrt(2), 2.0, math.pi)
+
+
+@pytest.mark.parametrize("sweep, refine", [
+    (lambda p, beta, **kw: temporal_sweep(p, beta, [4, 8, 16], 8, gamma=0.75, **kw),
+     "temporal"),
+    (lambda p, beta, **kw: spatial_sweep(p, beta, [4, 8, 16], 6, **kw), "spatial"),
+])
+def test_betas_of_a_sweep_share_one_start_per_grid(sweep, refine, tmp_path,
+                                                   monkeypatch):
+    # u^1 does not depend on beta: three betas start each of the three
+    # grids once, inside an integration, and every table keeps its bits
+    p = example1()
+    singles = [sweep(p, beta) for beta in BETAS]
+    calls = counted_starts(monkeypatch)
+    starts = {}
+    shared = [sweep(p, beta, starts=starts) for beta in BETAS]
+    assert len(calls) == 3 == len(starts)
+    assert len(set(key for key, _ in calls)) == 3
+    assert all(inside for _, inside in calls)
+    for u1, _ in starts.values():
+        assert not u1.flags.writeable
+        with pytest.raises(ValueError):
+            u1[0] = 1.0
+    for single, table in zip(singles, shared):
+        assert table.axis == refine
+        assert table.rows == single.rows
+        single.write_csv(tmp_path / "single.csv")
+        table.write_csv(tmp_path / "shared.csv")
+        assert (tmp_path / "single.csv").read_bytes() == \
+            (tmp_path / "shared.csv").read_bytes()
 
 
 def test_table_csv_and_plot_data(tmp_path):

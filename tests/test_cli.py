@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fisherkpp import stepper
 from fisherkpp.cli import (
     ConfigError,
     RunConfig,
@@ -226,6 +227,66 @@ def test_cmd_convergence_writes_tables_per_combination(tmp_path):
     assert len(names) == 8
     body = (out / "temporal_beta2_uniform.csv").read_text()
     assert "param,Linf,order_inf,L2,order_2" in body
+
+
+@pytest.mark.parametrize("axis", [("--nx", "8", "--sweep-m", "4,8"),
+                                  ("-M", "4", "--sweep-n", "4,8")])
+def test_convergence_tables_of_a_beta_list_equal_single_beta_tables(
+        tmp_path, axis, monkeypatch):
+    # the betas share one start per grid; every table keeps the bits it
+    # has when its beta runs alone, apart from the config hash
+    real_start = stepper.start_level
+    starts = []
+
+    def counting(*args):
+        starts.append(args)
+        return real_start(*args)
+
+    monkeypatch.setattr(stepper, "start_level", counting)
+    grids = ("--grids", "uniform,graded:0.75")
+    assert run_cli("convergence", *axis, *grids, "--betas", "sqrt2,2,pi",
+                   "-o", str(tmp_path / "all")) == 0
+    assert len(starts) == 4
+    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert len(names) == 12
+    for beta in ("sqrt2", "2", "pi"):
+        one = tmp_path / beta
+        assert run_cli("convergence", *axis, *grids, "--betas", beta,
+                       "-o", str(one)) == 0
+        for path in one.iterdir():
+            got = (tmp_path / "all" / path.name).read_text().splitlines()
+            want = path.read_text().splitlines()
+            assert got[0].startswith("# config=") and want[0].startswith("# config=")
+            assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("flag, value, key, label", [
+    ("--betas", "2,2,2.0", "betas", "2"),
+    ("--betas", "1.4142135623730951,sqrt2", "betas", "sqrt2"),
+    ("--betas", "2,pi,2.0000001", "betas", "2"),
+    ("--grids", "graded:0.75,graded:0.75", "grids", "gamma0.75"),
+    ("--grids", "uniform,UNIFORM", "grids", "uniform"),
+])
+def test_convergence_rejects_repeated_output_labels(tmp_path, flag, value, key,
+                                                    label, capsys):
+    # a repeat would rerun its sweep and overwrite the same tables
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--nx", "8", "--sweep-m", "4,8",
+                   flag, value, "-o", str(out)) == 2
+    assert capsys.readouterr().err == \
+        f"config error: key {key!r} repeats the output label {label!r}\n"
+    assert not out.exists()
+
+
+def test_repeated_labels_collected_with_the_others():
+    with pytest.raises(ConfigError) as info:
+        parse_config(overrides={"betas": "pi,2,pi,2", "grids": "uniform,uniform",
+                                "nx": "2"})
+    assert info.value.violations[1:] == [
+        "key 'betas' repeats the output label 'pi'",
+        "key 'betas' repeats the output label '2'",
+        "key 'grids' repeats the output label 'uniform'",
+    ]
 
 
 def test_cmd_convergence_single_row_has_no_orders(tmp_path):

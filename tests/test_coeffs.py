@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fisherkpp import coeffs
 from fisherkpp.coeffs import (
     CoefficientError,
     _derivative_weights,
@@ -249,6 +250,29 @@ def test_guard_verdict_invariant_to_shift_and_scale(nodes, admitted):
         else:
             with pytest.raises(CoefficientError, match="near-degenerate"):
                 nonuniform_coeffs(*triple, 2.0, cond_limit=1e6)
+
+
+@pytest.mark.parametrize("nodes, beta", [((0.0, 0.3, 1.0), math.sqrt(2)),
+                                         ((0.0, 1.0, 1.001), 2.0),
+                                         ((0.5, 0.6, 0.7), math.pi)])
+def test_nonuniform_checks_its_triple_once_and_guards_its_condition(
+        nodes, beta, monkeypatch):
+    checks, check = [], coeffs._check_nodes
+
+    def counting(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(coeffs, "_check_nodes", counting)
+    nonuniform_coeffs(*nodes, beta)
+    assert checks == [(*nodes, beta)]
+    # the guard compares vandermonde_condition itself: a limit one ulp
+    # below it rejects the triple, the value itself admits it
+    monkeypatch.setattr(coeffs, "_check_nodes", check)
+    cond = vandermonde_condition(*nodes, beta)
+    nonuniform_coeffs(*nodes, beta, cond_limit=cond)
+    with pytest.raises(CoefficientError, match="near-degenerate"):
+        nonuniform_coeffs(*nodes, beta, cond_limit=math.nextafter(cond, 0.0))
 
 
 def test_integrate_on_tiny_graded_grid():

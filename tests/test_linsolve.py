@@ -10,7 +10,7 @@ from fisherkpp.linsolve import (
 )
 from fisherkpp.coeffs import nonuniform_coeffs
 from fisherkpp.problems import example1, example2
-from fisherkpp.spatial import SpaceGrid, laplacian_eigenvalues
+from fisherkpp.spatial import SpaceGrid, apply_laplacian, laplacian_eigenvalues
 from fisherkpp.timegrid import time_grid
 
 from oracles import cg_allocating, dense_laplacian
@@ -146,6 +146,46 @@ def test_iterates_match_allocating_reference(nx, ny):
         assert np.array_equal(out.x, x)
         assert out.iterations == iterations
         assert out.residuals == history
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (16, 16), (47, 33), (160, 160)])
+def test_given_laplacian_of_warm_start_keeps_the_iterates(nx, ny, monkeypatch):
+    # L x0 from the caller stands in for the initial residual's stencil run
+    # and changes no bit; the caller's array is only read
+    rng = np.random.default_rng(nx * ny)
+    g = SpaceGrid(-1.0, 2.0, 0.0, 1.5, nx, ny)
+    runs, stencil = [], linsolve._stencil
+
+    def counting(plan):
+        runs.append(plan)
+        return stencil(plan)
+
+    monkeypatch.setattr(linsolve, "_stencil", counting)
+    for sigma, kappa in ((250.0, 2.0), (3.0, 0.5), (1.0, 0.0)):
+        op = ShiftedOperator(sigma=sigma, kappa=kappa, grid=g)
+        rhs = rng.standard_normal(g.n_interior)
+        x0 = rng.standard_normal(g.n_interior)
+        lap_x0 = apply_laplacian(x0, g)
+        given = lap_x0.copy()
+        runs.clear()
+        out = cg_solve(op, rhs, x0=x0, lap_x0=lap_x0)
+        assert len(runs) == out.iterations
+        runs.clear()
+        ref = cg_solve(op, rhs, x0=x0)
+        assert len(runs) == ref.iterations + 1
+        assert np.array_equal(out.x, ref.x)
+        assert out.iterations == ref.iterations
+        assert out.residuals == ref.residuals
+        assert np.array_equal(lap_x0, given)
+
+
+def test_laplacian_of_warm_start_needs_the_warm_start():
+    op = operator(5)
+    rhs = np.ones(op.grid.n_interior)
+    with pytest.raises(ValueError, match="lap_x0"):
+        cg_solve(op, rhs, lap_x0=apply_laplacian(rhs, op.grid))
+    with pytest.raises(ValueError, match="field length"):
+        cg_solve(op, rhs, x0=rhs, lap_x0=np.ones(3))
 
 
 def test_cg_builds_its_stencil_plan_once(monkeypatch):

@@ -45,6 +45,39 @@ def test_f_eval_integer_power_of_negative_is_finite():
     assert np.isfinite(f_eval([-0.1, 1.1], Nonlinearity(PQ_PRODUCT, p=2, q=3))).all()
 
 
+SPECIAL_VALUES = np.array([0.0, -0.0, -1.5, -1e-300, 0.3, 1.0, 1.0 + 2**-52, 7.0,
+                           np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("nl, power_form", [
+    (Nonlinearity(LOGISTIC_P, p=1), lambda u: u * (1.0 - u**1)),
+    (Nonlinearity(LOGISTIC_P, p=1.0), lambda u: u * (1.0 - u**1.0)),
+    (Nonlinearity(PQ_PRODUCT, p=1, q=1), lambda u: u**1 * (1.0 - u) ** 1),
+    (Nonlinearity(PQ_PRODUCT, p=1, q=2), lambda u: u**1 * (1.0 - u) ** 2),
+    (Nonlinearity(PQ_PRODUCT, p=2, q=1), lambda u: u**2 * (1.0 - u) ** 1),
+], ids=["logistic", "logistic-float-p", "pq", "pq-q2", "pq-p2"])
+def test_f_eval_unit_powers_equal_the_power_form(nl, power_form):
+    # skipping a power of 1 changes no bit, sign of zero, inf or nan included
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = f_eval(SPECIAL_VALUES, nl)
+        want = power_form(SPECIAL_VALUES.copy())
+        scalars = [(f_eval(u, nl), power_form(np.asarray(u))) for u in SPECIAL_VALUES]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    for g, w in scalars:
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.signbit(g) == np.signbit(w)
+
+
+def test_f_eval_leaves_its_input_alone():
+    u = SPECIAL_VALUES.copy()
+    with np.errstate(invalid="ignore"):
+        for nl in (Nonlinearity(LOGISTIC_P, p=1), Nonlinearity(PQ_PRODUCT, p=1, q=1)):
+            out = f_eval(u, nl)
+            assert not np.shares_memory(out, u)
+    assert np.array_equal(u, SPECIAL_VALUES, equal_nan=True)
+
+
 def test_unknown_form_rejected():
     with pytest.raises(ValueError):
         Nonlinearity("cubic")
@@ -56,6 +89,19 @@ def test_example1_exact_peak_and_start():
     x = np.linspace(0, np.pi, 11)
     np.testing.assert_array_equal(p.exact(x, x, 0.0), np.zeros(11))
     np.testing.assert_array_equal(p.initial(x, x), np.zeros(11))
+
+
+def test_example1_data_are_scalar_zero_and_source_keeps_its_bits():
+    # zero initial and boundary data come back as one scalar; the source
+    # takes each sine once and multiplies in the order of the formula
+    p = example1()
+    x, y = np.linspace(0.0, np.pi, 7)[None, :], np.linspace(0.0, np.pi, 5)[:, None]
+    assert p.initial(x, y) == 0.0 and np.ndim(p.initial(x, y)) == 0
+    assert p.boundary(x, y, 0.3) == 0.0 and np.ndim(p.boundary(x, y, 0.3)) == 0
+    for t in (0.0, 0.37, 1.0):
+        s = np.sin(t) * np.sin(x) * np.sin(y)
+        want = s * (1.0 + s) + np.cos(t) * np.sin(x) * np.sin(y)
+        assert np.array_equal(p.source(x, y, t), want)
 
 
 def test_example1_data_compatible_at_t0():

@@ -65,6 +65,46 @@ def test_eval_interior_matches_full_mesh_evaluation(problem_fn, nx, ny):
                           np.broadcast_to(p.initial(X, Y), g.shape).ravel())
 
 
+@pytest.mark.parametrize("make", [
+    lambda x, y: 0.75,
+    lambda x, y: -0.0,
+    lambda x, y: np.sin(x),
+    lambda x, y: np.cos(y),
+    lambda x, y: np.sin(x) * np.cos(y),
+    lambda x, y: 3,
+    lambda x, y: np.arange(x.size),
+    lambda x, y: np.arange(y.size)[:, None] * np.arange(x.size),
+    lambda x, y: x > 1.0,
+    lambda x, y: True,
+], ids=["scalar", "negative-zero", "row", "column", "full", "int", "int-row",
+        "int-full", "bool-row", "bool"])
+def test_eval_interior_equals_broadcast_form(make):
+    # each return is cast and broadcast into a new array, exactly as
+    # np.broadcast_to(np.asarray(vals, dtype=float), shape) would give it
+    g = SpaceGrid(-1.0, 2.0, 0.0, 1.5, 7, 5)
+    returned = []
+
+    def fn(x, y):
+        returned.append(make(x, y))
+        return returned[-1]
+
+    got = eval_interior(fn, g)
+    want = np.broadcast_to(np.asarray(returned[-1], dtype=float), g.shape).ravel()
+    assert got.dtype == np.float64 and got.shape == (g.n_interior,)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.flags.writeable and got.flags.c_contiguous
+    assert not np.shares_memory(got, returned[-1])
+
+
+def test_eval_interior_never_aliases_a_full_shape_return():
+    g = SpaceGrid(0.0, 1.0, 0.0, 1.0, 4, 6)
+    field = np.ones(g.shape)
+    got = eval_interior(lambda x, y, t: field, g, t=0.0)
+    got[0] = 5.0
+    assert field[0, 0] == 1.0
+
+
 def test_laplacian_eigenvalues_diagonalise_the_stencil():
     g = SpaceGrid(-1.0, 2.5, 0.0, 1.2, 24, 20)
     lam = laplacian_eigenvalues(g)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from fisherkpp.coeffs import CoefficientError, nonuniform_coeffs
-from fisherkpp import stepper
+from fisherkpp import linsolve, spatial, stepper
 from fisherkpp.linsolve import CGResult, SolveFailure, cg_solve, direct_solve_small
 from fisherkpp.problems import (
     PQ_PRODUCT,
@@ -29,7 +30,7 @@ from fisherkpp.stepper import (
 from fisherkpp.timegrid import TimeGrid, uniform_grid, graded_grid
 from fisherkpp.analysis import exact_final_field, linf_error
 
-from oracles import cg_allocating, step_rhs_allocating
+from oracles import cg_allocating, laplacian_slices, step_rhs_allocating
 
 LOGISTIC = Nonlinearity("logistic_p", p=1)
 
@@ -326,6 +327,69 @@ def test_step_matches_allocating_reference(example, nx, ny, monkeypatch):
         assert np.array_equal(u_next, x)
         assert (solve.iterations, solve.residuals) == (iterations, history)
         assert not np.shares_memory(u_next, u_curr)
+
+
+def test_step_hands_cg_the_laplacian_of_its_warm_start(monkeypatch):
+    # the step's own L u^n serves CG's initial residual, so a step runs
+    # the stencil once besides CG's iterations; u^n and u^{n-1} stay as given
+    p = example2()
+    g = p.space_grid(12, 9)
+    runs, given = [], []
+    stencil = spatial._stencil
+
+    def counting(plan):
+        runs.append(plan)
+        return stencil(plan)
+
+    def recording_cg(op, rhs, **kwargs):
+        given.append(kwargs)
+        return cg_solve(op, rhs, **kwargs)
+
+    monkeypatch.setattr(spatial, "_stencil", counting)
+    monkeypatch.setattr(linsolve, "_stencil", counting)
+    monkeypatch.setattr(stepper, "cg_solve", recording_cg)
+    rng = np.random.default_rng(5)
+    u_prev, u_curr = rng.uniform(0.0, 1.0, (2, g.n_interior))
+    before = u_prev.copy(), u_curr.copy()
+    _, solve = bdf_imex_step(u_prev, u_curr, 0.1, 0.13, 0.17, 2.0, p, g)
+    assert len(runs) == 1 + solve.iterations
+    (kwargs,) = given
+    assert kwargs["x0"] is u_curr
+    assert np.array_equal(kwargs["lap_x0"], laplacian_slices(u_curr, g))
+    assert np.array_equal(u_prev, before[0]) and np.array_equal(u_curr, before[1])
+
+
+def test_integrations_share_a_start_only_for_the_same_problem_grid_and_interval(
+        monkeypatch):
+    p = example1()
+    other = dataclasses.replace(p, source=None)
+    g = p.space_grid(6, 6)
+    real_start = stepper.start_level
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real_start(*args)
+
+    alone = integrate(p, uniform_grid(1.0, 4), g, 2.0)
+    monkeypatch.setattr(stepper, "start_level", counting)
+    starts = {}
+    for problem, tgrid, sgrid, beta in (
+            (p, uniform_grid(1.0, 4), g, 2.0),
+            (p, uniform_grid(1.0, 4), p.space_grid(6, 6), math.pi),
+            (p, uniform_grid(1.0, 4), g, 2.0),
+            (other, uniform_grid(1.0, 4), g, 2.0),
+            (p, uniform_grid(1.0, 8), g, 2.0),
+            (p, graded_grid(1.0, 4, 0.75), g, 2.0),
+            (p, uniform_grid(1.0, 4), p.space_grid(6, 5), 2.0)):
+        u, report = integrate(problem, tgrid, sgrid, beta, starts)
+    assert len(calls) == len(starts) == 5
+    u, report = integrate(p, uniform_grid(1.0, 4), g, 2.0, starts)
+    assert np.array_equal(u, alone[0])
+    assert report.starter == alone[1].starter
+    assert [(s.step, s.t, s.cg_iters, s.residual) for s in report.steps] == \
+        [(s.step, s.t, s.cg_iters, s.residual) for s in alone[1].steps]
+    assert len(calls) == 5
 
 
 # --------------------------------------------------------------- integrate
