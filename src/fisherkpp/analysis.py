@@ -36,7 +36,10 @@ def l2_error(numeric: np.ndarray, exact: np.ndarray, grid: SpaceGrid) -> float:
     if numeric.shape != exact.shape or numeric.shape != (grid.n_interior,):
         raise ValueError("fields must both conform to the grid")
     diff = numeric - exact
-    return float(math.sqrt(grid.hx * grid.hy * float(diff @ diff)))
+    # scaled exactly by its largest entry's power of two: tiny squares stay nonzero
+    exp = math.frexp(float(np.max(np.abs(diff))))[1]
+    diff = np.ldexp(diff, -exp)
+    return math.ldexp(math.sqrt(grid.hx * grid.hy * float(diff @ diff)), exp)
 
 
 def observed_order(err_coarse: float, err_fine: float) -> float:

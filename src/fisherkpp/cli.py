@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import analysis, timegrid
-from .coeffs import nonuniform_coeffs, uniform_coeffs
+from .coeffs import CoefficientError, nonuniform_coeffs, uniform_coeffs
 from .problems import PROBLEMS
 from .spatial import field_to_csv
 from .stepper import integrate
@@ -406,8 +406,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg)
         return cmd_convergence(cfg)
-    except ConfigError as exc:
-        for v in exc.violations:
+    # a time grid or node triple out of range is a bad config value too
+    except (ConfigError, timegrid.GridConstructionError, CoefficientError) as exc:
+        for v in getattr(exc, "violations", [exc]):
             print(f"config error: {v}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -2,8 +2,10 @@
 
 L is the (negative definite) discrete Laplacian, so the shifted operator
 is symmetric positive definite for sigma, kappa > 0. The workhorse is a
-matrix-free conjugate gradient iteration; an exact solve in the sine
-basis, where the operator is diagonal, backs it as an oracle.
+matrix-free conjugate gradient iteration that applies the operator on
+its own buffers; a solve that misses its tolerance raises
+``SolveFailure``, which stops the run. An exact solve in the sine basis,
+where the operator is diagonal, backs it as an oracle.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from .spatial import (
     SpaceGrid,
     _laplacian_plan,
     _stencil,
-    apply_laplacian,
     check_field,
     from_sine,
     laplacian_eigenvalues,
     to_sine,
 )
+# apply_laplacian stays bound for perfbench/tracer.py, which wraps it by name
+from .spatial import apply_laplacian  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -39,35 +42,15 @@ class ShiftedOperator:
                 f"operator must be SPD: sigma={self.sigma}, kappa={self.kappa}"
             )
 
-    def apply(self, v: np.ndarray, out: np.ndarray | None = None,
-              work: np.ndarray | None = None) -> np.ndarray:
-        """sigma * v - kappa * L v, in ``out`` with ``work`` as scratch.
-
-        The buffers follow ``apply_laplacian``: float fields disjoint
-        from ``v`` and from each other, allocated when not given.
-        """
-        out = apply_laplacian(v, self.grid, out=out, work=work)
-        return self._shift(v, out, work)
-
-    def _shift(self, v: np.ndarray, lap: np.ndarray,
-               work: np.ndarray | None) -> np.ndarray:
-        """sigma * v - kappa * lap, into ``lap``, given lap = L v."""
+    def _shift(self, v: np.ndarray, lap: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """sigma * v - kappa * lap into ``lap`` (lap = L v), sigma * v into ``work``."""
         lap *= self.kappa
         sigma_v = np.multiply(v, self.sigma, work)
         return np.subtract(sigma_v, lap, lap)
 
 
 class SolveFailure(RuntimeError):
-    """CG missed the tolerance within max_iter or met a non-finite value.
-
-    Carries the best iterate seen and its residual norm.
-    """
-
-    def __init__(self, message, best_x, residual, iterations):
-        super().__init__(message)
-        self.best_x = best_x
-        self.residual = residual
-        self.iterations = iterations
+    """CG missed the tolerance within max_iter or met a non-finite value."""
 
 
 @dataclass
@@ -123,10 +106,9 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     if b_norm == 0.0:
         return CGResult(x=np.zeros_like(rhs), iterations=0, residuals=[0.0])
 
-    x = np.zeros_like(rhs) if x0 is None else check_field(x0, op.grid).copy()
     if not math.isfinite(b_norm):
-        raise SolveFailure(f"CG right-hand side is not finite (norm {b_norm})",
-                           best_x=x, residual=b_norm, iterations=0)
+        raise SolveFailure(f"CG right-hand side is not finite (norm {b_norm})")
+    x = np.zeros_like(rhs) if x0 is None else check_field(x0, op.grid).copy()
     # work buffers and the stencil's plan for the whole solve: an
     # iteration allocates nothing and builds no views (the ufuncs take
     # their output positionally, as in the stencil)
@@ -145,25 +127,15 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
 
     res = math.sqrt(rr)
     history = [res]
-    # best_x None means the current iterate is the best one: the residual
-    # falls on nearly every iteration, so the best iterate is kept only
-    # when the residual first rises after a new best
-    best_x, best_res = None, res
     k = 0
     # a NaN fails every comparison, so "not <=" keeps it in the loop to be caught
     while not res <= tol * b_norm:
         if not math.isfinite(res):
-            raise SolveFailure(
-                f"CG residual is not finite after {k} iterations",
-                best_x=x.copy() if best_x is None else best_x,
-                residual=best_res, iterations=k,
-            )
+            raise SolveFailure(f"CG residual is not finite after {k} iterations")
         if k >= max_iter:
             raise SolveFailure(
                 f"CG stalled at relative residual {res / b_norm:.3e} "
-                f"after {k} iterations (target {tol:g})",
-                best_x=x.copy() if best_x is None else best_x,
-                residual=best_res, iterations=k,
+                f"after {k} iterations (target {tol:g})"
             )
         op._shift(p, _stencil(plan), w)
         alpha = rr / float(p @ q)
@@ -172,10 +144,6 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
         rr_new = float(r @ r)
         res = math.sqrt(rr_new)
         history.append(res)
-        if res < best_res:
-            best_res, best_x = res, None
-        elif best_x is None:
-            best_x = x - alpha * p  # the previous iterate, up to rounding
         # p = r + beta * p in place: addition commutes, so the bits match
         p *= rr_new / rr
         p += r

@@ -39,6 +39,23 @@ def test_l2_trivials_and_summation_oracle():
     assert l2_error(a, b, grid) == pytest.approx(oracle, rel=1e-13)
 
 
+def test_l2_keeps_the_bits_of_the_plain_formula_and_scales_exactly():
+    grid = SpaceGrid(0.0, 2.0, 0.0, 3.0, 9, 7)
+    rng = np.random.default_rng(34)
+    for _ in range(50):
+        a0 = rng.standard_normal(grid.n_interior)
+        b0 = rng.standard_normal(grid.n_interior)
+        for scale in (1e-140, 1e-3, 1.0, 1e140):
+            a, b = scale * a0, scale * b0
+            d = a - b
+            plain = math.sqrt(grid.hx * grid.hy * float(d @ d))
+            assert l2_error(a, b, grid) == plain
+        # at 2**-600 (about 2e-181) the plain formula's squares underflow
+        # to zero; a scaling by a power of two must scale the norm exactly
+        tiny = l2_error(np.ldexp(a0, -600), np.ldexp(b0, -600), grid)
+        assert tiny == math.ldexp(l2_error(a0, b0, grid), -600)
+
+
 def test_norm_ordering_l2_below_scaled_linf():
     grid = SpaceGrid(0.0, 2.0, 0.0, 3.0, 9, 7)
     rng = np.random.default_rng(33)

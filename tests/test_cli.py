@@ -1,9 +1,12 @@
+import itertools
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fisherkpp import stepper
+from fisherkpp import analysis, cli, stepper
 from fisherkpp.cli import (
     ConfigError,
     RunConfig,
@@ -322,21 +325,43 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
     ]
 
 
-@pytest.mark.parametrize("nodes, cause", [
-    ("nan,0.5,1", "'nan' is not a finite number"),
-    ("0,x,1", "could not convert string to float: 'x'"),
-])
-def test_cmd_coeffs_bad_node_is_config_error(nodes, cause, capsys):
-    assert run_cli("coeffs", "--beta", "2", "--nodes", nodes) == 2
-    assert capsys.readouterr().err == \
-        f"config error: bad value for '--nodes': {cause}\n"
+@pytest.mark.parametrize("argv, violation", [
+    (("coeffs", "--beta", "2", "--nodes", "nan,0.5,1"),
+     "bad value for '--nodes': 'nan' is not a finite number"),
+    (("coeffs", "--beta", "2", "--nodes", "0,x,1"),
+     "bad value for '--nodes': could not convert string to float: 'x'"),
+    # out-of-range grid and weight values exit 2, as they do in run
+    (("run", "-M", "1"), "M must be at least 2, got 1"),
+    (("run", "--beta", "0.5"), "beta must exceed 1, got 0.5"),
+    (("grid", "-M", "1"), "need at least 2 steps (two history levels), got M=1"),
+    (("grid", "-T", "0", "-M", "4"), "final time must be positive, got 0.0"),
+    (("grid", "-M", "4", "--gamma", "-1"),
+     "grading exponent must be positive, got -1.0"),
+    (("coeffs", "--beta", "0.5"), "shift parameter must exceed 1, got beta=0.5"),
+    (("coeffs", "--beta", "2", "--nodes", "0,0,1"),
+     "nodes must be strictly increasing, got (0.0, 0.0, 1.0)"),
+    (("run", "-M", "80", "--gamma", "40", "--nx", "4"),
+     "nodes must be strictly increasing (M=80, gamma=40.0)"),
+], ids=["nan,0.5,1-'nan' is not a finite number",
+        "0,x,1-could not convert string to float: 'x'",
+        "run_m", "run_beta", "grid_m", "grid_t", "grid_gamma", "coeffs_beta",
+        "coeffs_nodes", "run_nodes"])
+def test_cmd_coeffs_bad_node_is_config_error(tmp_path, argv, violation, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "-o", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: {violation}\n"
+    assert not out.exists()
 
 
 def test_run_on_steps_below_1e_162(tmp_path):
     # the weights of a 5e-171 step came out infinite before the offsets
-    # were scaled to unit size
+    # were scaled to unit size, and the L2 error underflowed to 0 before
+    # the difference was scaled
     assert run_cli("run", "-M", "4", "--nx", "8", "--t-final", "1e-170",
                    "-o", str(tmp_path / "out")) == 0
+    errors = (tmp_path / "out" / "errors.csv").read_text().splitlines()
+    linf, l2 = map(float, errors[-1].split(","))
+    assert 0.0 < linf < 1e-180 and 0.0 < l2 < 1e-180
 
 
 @pytest.mark.parametrize("line", ["solver = cg", "max_iter = 5",
@@ -400,6 +425,54 @@ def test_sweep_rejects_key_it_would_ignore(tmp_path, argv, key, capsys):
     assert run_cli("convergence", *argv, "-o", str(out)) == 2
     assert f"key {key!r} is not used" in capsys.readouterr().err
     assert not out.exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class Reached(BaseException):
+    """Raised by a stubbed solve; main's Exception boundary lets it through."""
+
+
+def test_readme_cli_examples_pass_config_validation(tmp_path, monkeypatch,
+                                                    capsys):
+    # every `fisherkpp ...` example, `\` continuations joined, passes config
+    # validation: run and convergence reach their stubbed solve, dumps exit 0
+    lines = README.read_text().splitlines()
+    # the README's config file block, which `run -c config.txt` reads
+    first = next(i for i, line in enumerate(lines)
+                 if line.startswith("    example = "))
+    block = itertools.takewhile(lambda line: line.startswith("    "),
+                                lines[first:])
+    write(tmp_path, "\n".join(block) + "\n", "config.txt")
+    examples, current = [], ""
+    for line in lines:
+        text = line.strip()
+        if line.startswith("    ") and (current or text.startswith("fisherkpp ")):
+            current += " " + text.removesuffix("\\")
+            if not text.endswith("\\"):
+                examples.append(shlex.split(current)[1:])
+                current = ""
+    assert {argv[0] for argv in examples} == {"run", "convergence", "grid",
+                                              "coeffs"}
+
+    def solve(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "integrate", solve)
+    monkeypatch.setattr(analysis, "temporal_sweep", solve)
+    monkeypatch.setattr(analysis, "spatial_sweep", solve)
+    for argv in examples:
+        try:
+            code = main(argv)
+            assert code == 0 and argv[0] in ("grid", "coeffs"), \
+                (argv, code, capsys.readouterr().err)
+        except Reached:
+            assert argv[0] in ("run", "convergence"), argv
+        except SystemExit as exc:
+            pytest.fail(f"{argv} exits {exc.code}: {capsys.readouterr().err}")
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_example_exits_2(capsys):
