@@ -379,9 +379,9 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
         its solve or its result fail; the cause is chained. A non-finite
         field counts as a failure.
     """
-    nodes = tgrid.nodes
+    nodes = tgrid.nodes.tolist()  # floats: an overflow gives inf, not a numpy warning
     u_prev = eval_interior(problem.initial, sgrid)
-    key = (problem, sgrid, float(nodes[0]), float(nodes[1]))
+    key = (problem, sgrid, nodes[0], nodes[1])
     if starts is not None and key in starts:
         u_curr, starter = starts[key]
     else:
@@ -407,7 +407,7 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
         except Exception as exc:
             raise RuntimeError(f"step {n + 1} (t={nodes[n + 1]:g}) failed") from exc
         report.steps.append(StepRecord(
-            step=n + 1, t=float(nodes[n + 1]), cg_iters=solve.iterations,
+            step=n + 1, t=nodes[n + 1], cg_iters=solve.iterations,
             residual=solve.residuals[-1],
             wall_ms=1e3 * (time.perf_counter() - t_step),
         ))

@@ -377,7 +377,7 @@ def test_supplementary_floor_isolated_temporal_orders():
 def test_criterion_10_code_path_equivalence(monkeypatch):
     """``integrate`` on a uniform grid against ``integrate`` with the
     paper's closed-form uniform weights in place of the per-step
-    Vandermonde solve: a / tau from the unit-step triple and
+    weights from the node triple: a / tau from the unit-step triple and
     t* = t_n + beta * tau."""
     t0 = time.perf_counter()
     p = example1()

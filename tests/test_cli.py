@@ -342,10 +342,25 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
      "nodes must be strictly increasing, got (0.0, 0.0, 1.0)"),
     (("run", "-M", "80", "--gamma", "40", "--nx", "4"),
      "nodes must be strictly increasing (M=80, gamma=40.0)"),
+    # extreme step ratios, down to one that underflows to 0 or overflows
+    (("coeffs", "--beta", "2", "--nodes", "0,1e-300,1"),
+     "near-degenerate node triple (0.0, 1e-300, 1.0): "
+     "Vandermonde condition exceeds 1e+12"),
+    (("coeffs", "--beta", "2", "--nodes", "0,5e-324,1e10"),
+     "near-degenerate node triple (0.0, 5e-324, 10000000000.0): "
+     "Vandermonde condition exceeds 1e+12"),
+    (("coeffs", "--beta", "2", "--nodes=-1e300,0,5e-324"),
+     "near-degenerate node triple (-1e+300, 0.0, 5e-324): "
+     "Vandermonde condition exceeds 1e+12"),
+    # a subnormal step, whose 1/tau overflows
+    (("coeffs", "--beta", "2", "--nodes", "0,1e-321,2e-321"),
+     "node triple (0.0, 1e-321, 2e-321) gives non-finite weights: "
+     "the step 1.00295e-321 is too small"),
 ], ids=["nan,0.5,1-'nan' is not a finite number",
         "0,x,1-could not convert string to float: 'x'",
         "run_m", "run_beta", "grid_m", "grid_t", "grid_gamma", "coeffs_beta",
-        "coeffs_nodes", "run_nodes"])
+        "coeffs_nodes", "run_nodes", "ratio_1e-300", "ratio_underflow",
+        "ratio_overflow", "subnormal_step"])
 def test_cmd_coeffs_bad_node_is_config_error(tmp_path, argv, violation, capsys):
     out = tmp_path / "out"
     assert run_cli(*argv, "-o", str(out)) == 2
@@ -362,6 +377,18 @@ def test_run_on_steps_below_1e_162(tmp_path):
     errors = (tmp_path / "out" / "errors.csv").read_text().splitlines()
     linf, l2 = map(float, errors[-1].split(","))
     assert 0.0 < linf < 1e-180 and 0.0 < l2 < 1e-180
+
+
+def test_run_on_subnormal_steps_names_non_finite_weights(tmp_path, capsys):
+    # the weights of a 2.5e-321 step overflow; integrate hands the step
+    # float nodes, so numpy warns of no overflow on the way
+    assert run_cli("run", "-M", "4", "--nx", "8", "--t-final", "1e-320",
+                   "-o", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: step 2 (t=4.99994e-321) failed",
+        "  cause: node triple (0.0, 2.5e-321, 5e-321) gives non-finite weights: "
+        "the step 2.49997e-321 is too small",
+    ]
 
 
 @pytest.mark.parametrize("line", ["solver = cg", "max_iter = 5",

@@ -7,7 +7,6 @@ import pytest
 from fisherkpp import coeffs
 from fisherkpp.coeffs import (
     CoefficientError,
-    _derivative_weights,
     nonuniform_coeffs,
     uniform_coeffs,
     vandermonde_condition,
@@ -48,9 +47,9 @@ def consistency_gaps(cf, nodes):
 
 def test_uniform_beta2_matches_hand_solution():
     cf = uniform_coeffs(2.0)
-    np.testing.assert_allclose(cf.a, (1.5, -4.0, 2.5), atol=1e-14)
-    np.testing.assert_allclose(cf.b, (-1.0, 2.0), atol=1e-14)
-    np.testing.assert_allclose(cf.c, (-2.0, 3.0), atol=1e-14)
+    assert cf.a == (1.5, -4.0, 2.5)
+    assert cf.b == (-1.0, 2.0)
+    assert cf.c == (-2.0, 3.0)
     assert cf.t_eval == 2.0
 
 
@@ -97,7 +96,8 @@ def test_nonuniform_equals_scaled_uniform_on_equispaced_nodes():
 
 
 def test_tiny_steps_give_finite_scaled_weights():
-    # offset products of a 1e-170 step underflow to 0 unless scaled first
+    # a 1e-170 step enters only through rho and the final division by tau;
+    # products of offsets in units of time would underflow to 0
     beta = math.pi
     unit = uniform_coeffs(beta)
     cf = nonuniform_coeffs(-1e-170, 0.0, 1e-170, beta)
@@ -111,18 +111,38 @@ def test_tiny_steps_give_finite_scaled_weights():
     assert (cf.b, cf.c) == (unit.b, unit.c)
 
 
-def test_scaled_offsets_keep_the_bits_of_ordinary_steps():
-    # the weights from unscaled offsets, as computed before the scaling
+def test_weights_scale_exactly_with_power_of_two_triples():
+    # scaling the triple by 2^k scales tau and t* exactly and keeps rho's
+    # bits, so a scales by exactly 2^-k and b, c keep their bits
     rng = np.random.default_rng(7)
     for _ in range(2000):
-        scale = 10.0 ** rng.uniform(-8.0, 5.0)
-        t0 = scale * rng.uniform(-5.0, 5.0)
-        t1 = t0 + scale * rng.uniform(0.05, 2.0)
-        t2 = t1 + scale * rng.uniform(0.05, 2.0)
+        t0 = rng.uniform(-5.0, 5.0)
+        t1 = t0 + rng.uniform(0.05, 2.0)
+        t2 = t1 + rng.uniform(0.05, 2.0)
         beta = rng.choice([math.sqrt(2), 2.0, math.pi, rng.uniform(1.01, 4.0)])
-        t_star = t1 + beta * (t2 - t1)
-        d = [t - t_star for t in (t0, t1, t2)]
-        assert nonuniform_coeffs(t0, t1, t2, beta).a == _derivative_weights(*d)
+        k = int(rng.integers(-1000, 1000))
+        cf = nonuniform_coeffs(t0, t1, t2, beta)
+        scaled = nonuniform_coeffs(*(math.ldexp(t, k) for t in (t0, t1, t2)), beta)
+        assert scaled.a == tuple(math.ldexp(w, -k) for w in cf.a)
+        assert (scaled.b, scaled.c) == (cf.b, cf.c)
+        assert scaled.t_eval == math.ldexp(cf.t_eval, k)
+
+
+@pytest.mark.parametrize("beta, r_cross", [(math.sqrt(2), 1.84), (2.0, 1.55),
+                                           (math.pi, 1.33)])
+def test_a0_over_a2_is_a_function_of_the_step_ratio(beta, r_cross):
+    # |a0/a2| = (2 beta - 1) / (rho (rho + 2 beta)), rho = tau_n / tau_{n+1};
+    # it reaches 1 at the step ratio r = 1/rho where
+    # rho^2 + 2 beta rho - (2 beta - 1) = 0
+    rng = np.random.default_rng(11)
+    for rho in rng.uniform(0.05, 4.0, size=200):
+        a0, _, a2 = nonuniform_coeffs(-rho, 0.0, 1.0, beta).a
+        want = (2.0 * beta - 1.0) / (rho * (rho + 2.0 * beta))
+        assert abs(a0 / a2) == pytest.approx(want, rel=1e-14)
+    r = 1.0 / (math.sqrt(beta * beta + 2.0 * beta - 1.0) - beta)
+    assert r == pytest.approx(r_cross, abs=0.005)
+    a0, _, a2 = nonuniform_coeffs(0.0, 1.0, 1.0 + r, beta).a
+    assert abs(a0 / a2) == pytest.approx(1.0, rel=1e-13)
 
 
 def random_triples(count, seed=1234):
@@ -195,13 +215,14 @@ def test_nonuniform_rejects_bad_nodes():
         nonuniform_coeffs(0.0, 0.5, 1.0, 1.0)
 
 
-def test_nonuniform_rejects_near_degenerate_triple():
+def test_nonuniform_rejects_near_degenerate_triple(monkeypatch):
     # a microscopically thin middle interval blows up the condition number
     assert vandermonde_condition(0.0, 1e-14, 1.0, 2.0) > 1e12
     with pytest.raises(CoefficientError):
         nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0)
-    # the guard is configurable
-    nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0, cond_limit=1e40)
+    # the guard reads the module's limit
+    monkeypatch.setattr(coeffs, "COND_LIMIT", 1e40)
+    nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0)
 
 
 def offset_vandermonde(nodes, beta):
@@ -225,14 +246,14 @@ def test_closed_form_condition_matches_numpy():
 @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-14])
 def test_closed_form_condition_exact_where_numpy_loses_digits(gap):
     # numpy's inverse is off by about cond * eps here; the reference is a
-    # 50-digit inverse built from the same floating-point offsets
-    d = offset_vandermonde((0.0, gap, 1.0), 2.0)[1]
+    # 50-digit inverse built from the exact step ratio of the float nodes
     with mp.workdps(50):
-        dm = [mp.mpf(float(x)) for x in d]
+        rho = mp.mpf(gap) / (1 - mp.mpf(gap))
+        dm = [-(rho + 2), mp.mpf(-2), mp.mpf(-1)]
         vm = mp.matrix([[1, 1, 1], dm, [x * x for x in dm]])
         norm1 = lambda m: max(sum(abs(m[i, j]) for i in range(3)) for j in range(3))
         want = float(norm1(vm) * norm1(vm**-1))
-    assert vandermonde_condition(0.0, gap, 1.0, 2.0) == pytest.approx(want, rel=1e-13)
+    assert vandermonde_condition(0.0, gap, 1.0, 2.0) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("nodes, admitted", [
@@ -241,15 +262,16 @@ def test_closed_form_condition_exact_where_numpy_loses_digits(gap):
     ((0.0, 1e-3, 1.0), True),     # condition 4.2e4
     ((0.0, 1.0, 1.001), False),   # condition 3.0e6
 ])
-def test_guard_verdict_invariant_to_shift_and_scale(nodes, admitted):
+def test_guard_verdict_invariant_to_shift_and_scale(nodes, admitted, monkeypatch):
     # the guard reads the shape of the triple, not its time scale
+    monkeypatch.setattr(coeffs, "COND_LIMIT", 1e6)
     for s in (1e-8, 1.0, 1e8):
         triple = [5.0 + s * t for t in nodes]
         if admitted:
-            nonuniform_coeffs(*triple, 2.0, cond_limit=1e6)
+            nonuniform_coeffs(*triple, 2.0)
         else:
             with pytest.raises(CoefficientError, match="near-degenerate"):
-                nonuniform_coeffs(*triple, 2.0, cond_limit=1e6)
+                nonuniform_coeffs(*triple, 2.0)
 
 
 @pytest.mark.parametrize("nodes, beta", [((0.0, 0.3, 1.0), math.sqrt(2)),
@@ -270,9 +292,11 @@ def test_nonuniform_checks_its_triple_once_and_guards_its_condition(
     # below it rejects the triple, the value itself admits it
     monkeypatch.setattr(coeffs, "_check_nodes", check)
     cond = vandermonde_condition(*nodes, beta)
-    nonuniform_coeffs(*nodes, beta, cond_limit=cond)
+    monkeypatch.setattr(coeffs, "COND_LIMIT", cond)
+    nonuniform_coeffs(*nodes, beta)
+    monkeypatch.setattr(coeffs, "COND_LIMIT", math.nextafter(cond, 0.0))
     with pytest.raises(CoefficientError, match="near-degenerate"):
-        nonuniform_coeffs(*nodes, beta, cond_limit=math.nextafter(cond, 0.0))
+        nonuniform_coeffs(*nodes, beta)
 
 
 def test_integrate_on_tiny_graded_grid():
