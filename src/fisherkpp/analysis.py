@@ -9,7 +9,7 @@ observed orders log2(err_coarse / err_fine) between adjacent rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,19 @@ class ConvergenceTable:
 
     axis: str                      # "temporal" | "spatial"
     rows: list[ConvergenceRow]
-    meta: dict = field(default_factory=dict)
+    meta: dict
+
+    @classmethod
+    def from_errors(cls, axis: str, params, errors, meta: dict) -> ConvergenceTable:
+        """Rows from ``errors``, one (Linf, L2) pair per param; each row
+        after the first has its observed orders against the one before."""
+        rows, prev = [], None
+        for p, (linf, l2) in zip(params, errors):
+            orders = () if prev is None else (observed_order(prev[0], linf),
+                                              observed_order(prev[1], l2))
+            rows.append(ConvergenceRow(p, linf, l2, *orders))
+            prev = linf, l2
+        return cls(axis, rows, meta)
 
     def write_csv(self, path, header_lines=()) -> None:
         with open(path, "w") as fh:
@@ -101,18 +113,6 @@ def exact_final_field(problem: ProblemSpec, grid: SpaceGrid, t: float) -> np.nda
     return eval_interior(problem.exact, grid, t=t)
 
 
-def final_errors(problem: ProblemSpec, tgrid, sgrid: SpaceGrid,
-                 beta: float, starts: dict | None = None) -> tuple[float, float]:
-    """Run one integration and measure (Linf, L2) against the exact field.
-
-    ``starts`` is handed to ``integrate``, which shares start levels
-    through it.
-    """
-    u, _ = integrate(problem, tgrid, sgrid, beta, starts)
-    exact = exact_final_field(problem, sgrid, tgrid.T)
-    return linf_error(u, exact), l2_error(u, exact, sgrid)
-
-
 def _check_doubling(values, label):
     vals = [int(v) for v in values]
     if len(vals) < 1:
@@ -125,69 +125,46 @@ def _check_doubling(values, label):
     return vals
 
 
-def _table(axis, params, errors, meta):
-    rows = []
-    prev = None
-    for p, (linf, l2) in zip(params, errors):
-        if prev is None:
-            rows.append(ConvergenceRow(p, linf, l2))
-        else:
-            rows.append(ConvergenceRow(
-                p, linf, l2,
-                order_inf=observed_order(prev[0], linf),
-                order_2=observed_order(prev[1], l2),
-            ))
-        prev = (linf, l2)
-    return ConvergenceTable(axis=axis, rows=rows, meta=meta)
-
-
-def _grid_label(gamma):
-    return "uniform" if gamma is None else f"gamma={gamma:g}"
+def _sweep(problem, beta, gamma, axis, params, grids, starts, **meta):
+    """Integrate on ``grids(p)``, a (time grid, space grid) pair, for each
+    refinement value p and tabulate the errors against the exact field."""
+    errors = []
+    for p in params:
+        tgrid, sgrid = grids(p)
+        u, _ = integrate(problem, tgrid, sgrid, beta, starts)
+        exact = exact_final_field(problem, sgrid, tgrid.T)
+        errors.append((linf_error(u, exact), l2_error(u, exact, sgrid)))
+    meta = {"axis": axis, "example": problem.name, "beta": f"{beta:.12g}",
+            "grid": "uniform" if gamma is None else f"gamma={gamma:g}", **meta}
+    return ConvergenceTable.from_errors(axis, params, errors, meta)
 
 
 def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
                    ny: int | None = None, gamma: float | None = None,
-                   runner=None, starts: dict | None = None) -> ConvergenceTable:
+                   starts: dict | None = None) -> ConvergenceTable:
     """Refine the step count M at fixed spatial resolution.
 
-    ``runner``, when given, replaces the integration: a callable
-    m -> (linf, l2). Used for instrumentation and synthetic fixtures.
     ``starts`` lets sweeps over several betas share their start levels
     (see ``integrate``).
     """
     m_values = _check_doubling(m_values, "M")
     ny = nx if ny is None else ny
     sgrid = problem.space_grid(nx, ny)
-
-    def one_run(m):
-        if runner is not None:
-            return runner(m)
-        return final_errors(problem, time_grid(problem.T, m, gamma), sgrid,
-                            beta, starts)
-
-    errors = [one_run(m) for m in m_values]
-    meta = {"axis": "temporal", "example": problem.name, "beta": f"{beta:.12g}",
-            "grid": _grid_label(gamma), "nx": nx, "ny": ny}
-    return _table("temporal", m_values, errors, meta)
+    return _sweep(problem, beta, gamma, "temporal", m_values,
+                  lambda m: (time_grid(problem.T, m, gamma), sgrid), starts,
+                  nx=nx, ny=ny)
 
 
 def spatial_sweep(problem: ProblemSpec, beta: float, n_values, m_steps: int,
                   gamma: float | None = None,
-                  runner=None, starts: dict | None = None) -> ConvergenceTable:
+                  starts: dict | None = None) -> ConvergenceTable:
     """Refine the spatial resolution N = Nx = Ny at fixed step count M.
 
     M must be large enough that the temporal error is subdominant.
-    ``runner`` and ``starts`` are as in ``temporal_sweep``.
+    ``starts`` is as in ``temporal_sweep``.
     """
     n_values = _check_doubling(n_values, "N")
-
-    def one_run(n):
-        if runner is not None:
-            return runner(n)
-        return final_errors(problem, time_grid(problem.T, m_steps, gamma),
-                            problem.space_grid(n, n), beta, starts)
-
-    errors = [one_run(n) for n in n_values]
-    meta = {"axis": "spatial", "example": problem.name, "beta": f"{beta:.12g}",
-            "grid": _grid_label(gamma), "m": m_steps}
-    return _table("spatial", n_values, errors, meta)
+    tgrid = time_grid(problem.T, m_steps, gamma)
+    return _sweep(problem, beta, gamma, "spatial", n_values,
+                  lambda n: (tgrid, problem.space_grid(n, n)), starts,
+                  m=m_steps)

@@ -116,8 +116,9 @@ def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float,
     ------
     CoefficientError
         For non-monotone nodes, beta <= 1, a triple whose
-        ``vandermonde_condition`` exceeds ``COND_LIMIT``, or a step so
-        small that the ``a`` weights are not finite.
+        ``vandermonde_condition`` exceeds ``COND_LIMIT``, a step so
+        small that the ``a`` weights are not finite, or nodes so large
+        that t* is not finite.
     """
     rho = _check_nodes(t_prev, t_curr, t_next, beta)
     if not _condition(rho, beta) <= COND_LIMIT:
@@ -134,6 +135,11 @@ def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float,
             f"node triple ({t_prev}, {t_curr}, {t_next}) gives non-finite "
             f"weights: the step {tau:g} is too small"
         )
+    t_eval = t_curr + beta * tau
+    if not math.isfinite(t_eval):
+        raise CoefficientError(
+            f"node triple ({t_prev}, {t_curr}, {t_next}) gives a non-finite "
+            f"shifted time t* = {t_eval}"
+        )
     return StepCoefficients(a=a, b=(1.0 - beta, beta),
-                            c=(-beta / rho, 1.0 + beta / rho),
-                            t_eval=t_curr + beta * tau)
+                            c=(-beta / rho, 1.0 + beta / rho), t_eval=t_eval)

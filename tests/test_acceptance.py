@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from fisherkpp import stepper
-from fisherkpp.analysis import (exact_final_field, l2_error, linf_error,
-                                spatial_sweep, temporal_sweep)
+from fisherkpp.analysis import (ConvergenceTable, exact_final_field, l2_error,
+                                linf_error, spatial_sweep)
 from fisherkpp.coeffs import nonuniform_coeffs, uniform_coeffs
 from fisherkpp.linsolve import ShiftedOperator, cg_solve, direct_solve_small
 from fisherkpp.problems import example1, example2
@@ -79,18 +79,14 @@ class SemiDiscreteReference:
         solution, for the report.
         """
         p, sgrid = self.problem, self.sgrid
-        vs_exact = {}
-
-        def runner(m):
+        errors, vs_exact = [], []
+        for m in M_LIST:
             tg = uniform_grid(p.T, m) if gamma is None \
                 else graded_grid(p.T, m, gamma)
             u, _ = integrate(p, tg, sgrid, beta)
-            vs_exact[m] = linf_error(u, self.exact)
-            return linf_error(u, self.u), l2_error(u, self.u, sgrid)
-
-        table = temporal_sweep(p, beta, M_LIST, self.n, gamma=gamma,
-                               runner=runner)
-        return table, [vs_exact[m] for m in M_LIST]
+            vs_exact.append(linf_error(u, self.exact))
+            errors.append((linf_error(u, self.u), l2_error(u, self.u, sgrid)))
+        return ConvergenceTable.from_errors("temporal", M_LIST, errors, {}), vs_exact
 
     def describe(self, label, table, vs_exact):
         """One report line: Linf per M against both references, and the floor."""

@@ -84,41 +84,42 @@ def test_observed_order_values():
 
 
 def test_temporal_sweep_synthetic_quadratic_model():
-    # injected exact O(dt^2) error model must tabulate orders of exactly 2
-    p = example1()
-    table = temporal_sweep(p, 2.0, [10, 20, 40, 80], 8,
-                           runner=lambda m: (3.0 / m**2, 1.0 / m**2))
+    # an exact O(dt^2) error model must tabulate orders of exactly 2
+    ms = [10, 20, 40, 80]
+    table = ConvergenceTable.from_errors(
+        "temporal", ms, [(3.0 / m**2, 1.0 / m**2) for m in ms], {})
     assert table.rows[0].order_inf is None and table.rows[0].order_2 is None
     for row in table.rows[1:]:
         assert row.order_inf == pytest.approx(2.0, abs=1e-12)
         assert row.order_2 == pytest.approx(2.0, abs=1e-12)
-    assert [r.param for r in table.rows] == [10, 20, 40, 80]
-    assert table.meta["grid"] == "uniform"
+    assert [r.param for r in table.rows] == ms
+    assert temporal_sweep(example1(), 2.0, [4], 4).meta["grid"] == "uniform"
 
 
 def test_spatial_sweep_synthetic_quadratic_model():
-    p = example1()
-    table = spatial_sweep(p, 2.0, [8, 16, 32], 50,
-                          gamma=0.75, runner=lambda n: (5.0 / n**2, 2.0 / n**2))
+    ns = [8, 16, 32]
+    table = ConvergenceTable.from_errors(
+        "spatial", ns, [(5.0 / n**2, 2.0 / n**2) for n in ns], {})
     for row in table.rows[1:]:
         assert row.order_inf == pytest.approx(2.0, abs=1e-12)
+    table = spatial_sweep(example1(), 2.0, [4], 4, gamma=0.75)
     assert table.axis == "spatial"
     assert table.meta["grid"] == "gamma=0.75"
 
 
 def test_sweep_rejects_non_doubling_lists():
+    # the lists are checked before any integration starts
     p = example1()
     with pytest.raises(ValueError):
-        temporal_sweep(p, 2.0, [10, 30], 8, runner=lambda m: (1.0, 1.0))
+        temporal_sweep(p, 2.0, [10, 30], 8)
     with pytest.raises(ValueError):
-        spatial_sweep(p, 2.0, [8, 12], 50, runner=lambda n: (1.0, 1.0))
+        spatial_sweep(p, 2.0, [8, 12], 50)
     with pytest.raises(ValueError):
-        temporal_sweep(p, 2.0, [], 8, runner=lambda m: (1.0, 1.0))
+        temporal_sweep(p, 2.0, [], 8)
 
 
 def test_single_row_sweep_has_no_orders():
-    p = example1()
-    table = temporal_sweep(p, 2.0, [10], 8, runner=lambda m: (1e-3, 1e-4))
+    table = ConvergenceTable.from_errors("temporal", [10], [(1e-3, 1e-4)], {})
     assert len(table.rows) == 1
     assert table.rows[0].order_inf is None
 
@@ -185,18 +186,13 @@ def test_betas_of_a_sweep_share_one_start_per_grid(sweep, refine, tmp_path,
 
 
 def test_table_csv_and_plot_data(tmp_path):
-    table = ConvergenceTable(
-        axis="temporal",
-        rows=[],
-        meta={"example": "manufactured", "beta": "2"},
-    )
-    p = example1()
-    table = temporal_sweep(p, 2.0, [10, 20], 8,
-                           runner=lambda m: (4.0 / m**2, 1.0 / m**2))
+    table = ConvergenceTable.from_errors(
+        "temporal", [10, 20], [(4.0 / m**2, 1.0 / m**2) for m in (10, 20)],
+        {"example": "manufactured", "beta": "2"})
     csv = tmp_path / "table.csv"
     table.write_csv(csv, header_lines=["config=abc123"])
     lines = csv.read_text().splitlines()
-    assert lines[0] == "# config=abc123"
+    assert lines[:3] == ["# config=abc123", "# beta=2", "# example=manufactured"]
     header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     assert lines[header_at] == "param,Linf,order_inf,L2,order_2"
     first = lines[header_at + 1].split(",")

@@ -263,6 +263,24 @@ def test_convergence_tables_of_a_beta_list_equal_single_beta_tables(
             assert got[1:] == want[1:]
 
 
+def test_benchmark_sweep_calls_each_traced_name_once_per_integration(
+        tmp_path, monkeypatch):
+    # perfbench's mms-sweep-graded command: its tracer wraps these names of
+    # fisherkpp.analysis, and its setup_s and cell_steps_per_s come from the
+    # wrapped integrations, so a sweep that bypasses them must fail here
+    names = ("integrate", "exact_final_field", "linf_error", "l2_error")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(analysis, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    assert run_cli("convergence", "--example", "manufactured", "--nx", "16",
+                   "--sweep-m", "20,40,80", "--grids", "graded:0.75",
+                   "--betas", "sqrt2,2,pi", "-o", str(tmp_path / "out")) == 0
+    assert calls == dict.fromkeys(names, 9)
+
+
 @pytest.mark.parametrize("flag, value, key, label", [
     ("--betas", "2,2,2.0", "betas", "2"),
     ("--betas", "1.4142135623730951,sqrt2", "betas", "sqrt2"),
@@ -356,11 +374,15 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
     (("coeffs", "--beta", "2", "--nodes", "0,1e-321,2e-321"),
      "node triple (0.0, 1e-321, 2e-321) gives non-finite weights: "
      "the step 1.00295e-321 is too small"),
+    # nodes whose ratio passes but whose shifted time overflows
+    (("coeffs", "--beta", "2", "--nodes=-1e300,0,1e308"),
+     "node triple (-1e+300, 0.0, 1e+308) gives a non-finite shifted time "
+     "t* = inf"),
 ], ids=["nan,0.5,1-'nan' is not a finite number",
         "0,x,1-could not convert string to float: 'x'",
         "run_m", "run_beta", "grid_m", "grid_t", "grid_gamma", "coeffs_beta",
         "coeffs_nodes", "run_nodes", "ratio_1e-300", "ratio_underflow",
-        "ratio_overflow", "subnormal_step"])
+        "ratio_overflow", "subnormal_step", "shifted_time_overflow"])
 def test_cmd_coeffs_bad_node_is_config_error(tmp_path, argv, violation, capsys):
     out = tmp_path / "out"
     assert run_cli(*argv, "-o", str(out)) == 2
