@@ -205,13 +205,19 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
             violations.append(f"bad value for {key!r}: {exc}")
     if cfg.gamma is not None and cfg.gamma <= 0:
         violations.append(f"gamma must be positive, got {cfg.gamma}")
+    exponents = [gamma for gamma in cfg.grids or () if gamma is not None]
+    if any(gamma <= 0 for gamma in exponents):
+        violations.append(f"every grids exponent must be positive, got {exponents}")
     if cfg.t_final <= 0:
         violations.append(f"t_final must be positive, got {cfg.t_final}")
     if cfg.betas is not None and any(b <= 1.0 for b in cfg.betas):
         violations.append(f"every beta must exceed 1, got {cfg.betas}")
-    # each entry names its own table files, which a repeat would overwrite
     for key, label_of in (("betas", _beta_label), ("grids", _grid_label)):
-        labels = [label_of(value) for value in getattr(cfg, key) or ()]
+        values = getattr(cfg, key)
+        if values == []:
+            violations.append(f"bad value for {key!r}: the list is empty")
+        # each entry names its own table files, which a repeat would overwrite
+        labels = [label_of(value) for value in values or ()]
         for label in dict.fromkeys(la for la in labels if labels.count(la) > 1):
             violations.append(f"key {key!r} repeats the output label {label!r}")
     if violations:

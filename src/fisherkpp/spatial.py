@@ -126,23 +126,15 @@ def eval_interior(fn, grid: SpaceGrid, t: float | None = None) -> np.ndarray:
     return out
 
 
-def apply_laplacian(u: np.ndarray, grid: SpaceGrid, out: np.ndarray | None = None,
-                    work: np.ndarray | None = None) -> np.ndarray:
-    """Matrix-free 5-point Laplacian with zero ghost values.
+def apply_laplacian(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
+    """Matrix-free 5-point Laplacian with zero ghost values, a new field.
 
     Boundary neighbor terms are deliberately dropped; add
     ``boundary_contribution`` to recover the discrete Laplacian of the
     full grid function.
-
-    ``out`` receives the result and ``work`` serves as scratch: 1D float
-    fields of the interior's length that share no memory with ``u`` or
-    with each other, allocated when not given. Returns ``out``.
     """
     u = check_field(u, grid)
-    if out is None:
-        out = np.empty(grid.n_interior)
-    if work is None:
-        work = np.empty(grid.n_interior)
+    out, work = np.empty(grid.n_interior), np.empty(grid.n_interior)
     return _stencil(_laplacian_plan(u, grid, out, work))
 
 
@@ -151,9 +143,11 @@ def _laplacian_plan(u: np.ndarray, grid: SpaceGrid, out: np.ndarray,
     """What ``_stencil`` needs to write the Laplacian of ``u`` into ``out``.
 
     A plain tuple of the stencil weights and of views of the three
-    buffers, which ``apply_laplacian`` describes. A plan stays valid while
-    its buffers live, so a caller that rewrites ``u`` in place, as CG
-    does, builds it once and runs the stencil on it again and again.
+    buffers: ``out`` receives the result and ``work`` serves as scratch,
+    1D float fields of the interior's length that share no memory with
+    ``u`` or with each other. A plan stays valid while its buffers live,
+    so a caller that rewrites ``u`` in place, as CG does, builds it once
+    and runs the stencil on it again and again.
     """
     cols = grid.nx - 1
     ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2

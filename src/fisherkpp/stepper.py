@@ -322,27 +322,10 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, t_prev: float,
     c0, c1 = coeffs.c
     D, K = problem.D, problem.K
 
-    # the formula of the module docstring, evaluated term by term as
-    # written, in one buffer with two temporaries; the second holds L u^n
-    # for the solve's initial residual, so the reaction, whose explicit
-    # value needs both temporaries, is evaluated before the Laplacian
-    rhs = np.multiply(u_curr, -a1)
-    tmp = np.multiply(u_prev, a0)
-    rhs -= tmp
-    lap = np.empty_like(rhs)
+    lap = apply_laplacian(u_curr, sgrid)
+    rhs = -a1*u_curr - a0*u_prev + D*b0*(lap + bc_curr) + D*b1*bc_next
     if K != 0.0:
-        u_explicit = np.multiply(u_curr, c1, out=tmp)
-        u_explicit += np.multiply(u_prev, c0, out=lap)
-        reaction = f_eval(u_explicit, problem.nonlinearity)
-        reaction *= K
-    apply_laplacian(u_curr, sgrid, out=lap, work=tmp)
-    np.add(lap, bc_curr, tmp)
-    tmp *= D * b0
-    rhs += tmp
-    rhs += np.multiply(bc_next, D * b1, tmp)
-    if K != 0.0:
-        rhs += reaction
-        del reaction  # freed before the solve
+        rhs += K * f_eval(c1*u_curr + c0*u_prev, problem.nonlinearity)
     rhs += source_at_shifted_time(problem, coeffs.t_eval, sgrid)
 
     op = ShiftedOperator(sigma=a2, kappa=D * b1, grid=sgrid)

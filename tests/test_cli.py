@@ -200,9 +200,29 @@ def test_cmd_convergence_requires_exactly_one_axis(tmp_path, capsys):
      "bad value for 'sweep_m': M sweep list is empty"),
     (["-M", "4", "--sweep-n", "4,4"],
      "bad value for 'sweep_n': N list must increase by factors of 2, got [4, 4]"),
-], ids=["sweep_n", "sweep_m", "sweep_m_decreasing", "sweep_m_empty", "sweep_n_repeated"])
+    (["--nx", "8", "--sweep-m", "4,8", "--betas", ""],
+     "bad value for 'betas': the list is empty"),
+    (["--nx", "8", "--sweep-m", "4,8", "--grids", ""],
+     "bad value for 'grids': the list is empty"),
+    (["--nx", "8", "--sweep-m", "4,8", "--grids", ","],
+     "bad value for 'grids': the list is empty"),
+    # the entry after -c is the text of the config file
+    (["--nx", "8", "--sweep-m", "4,8", "-c", "betas = ,"],
+     "bad value for 'betas': the list is empty"),
+    (["--nx", "8", "--sweep-m", "4,8", "--grids", "uniform,graded:-1"],
+     "every grids exponent must be positive, got [-1.0]"),
+    (["--nx", "8", "--sweep-m", "4,8", "--grids", "uniform,graded:0"],
+     "every grids exponent must be positive, got [0.0]"),
+], ids=["sweep_n", "sweep_m", "sweep_m_decreasing", "sweep_m_empty", "sweep_n_repeated",
+        "betas_empty", "grids_empty", "grids_commas", "betas_empty_config_line",
+        "grids_negative_exponent", "grids_zero_exponent"])
 def test_sweep_entry_below_its_key_bound_is_config_error(tmp_path, argv,
                                                          violation, capsys):
+    if "-c" in argv:
+        at = argv.index("-c") + 1
+        config = tmp_path / "sweep.cfg"
+        config.write_text(argv[at] + "\n")
+        argv = [*argv[:at], str(config), *argv[at + 1:]]
     out = tmp_path / "conv"
     assert run_cli("convergence", "--example", "manufactured", *argv,
                    "-o", str(out)) == 2

@@ -300,11 +300,16 @@ def test_step_reproduces_quadratic_in_time_linear_in_space(monkeypatch):
             u_next, eval_interior(p.exact, g, t=nodes[n + 1]), atol=2e-11)
 
 
+def example1_without_reaction():
+    return dataclasses.replace(example1(), K=0.0)
+
+
 @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (16, 16), (47, 33), (160, 160)])
-@pytest.mark.parametrize("example", [example1, example2])
+@pytest.mark.parametrize("example", [example1, example2, example1_without_reaction])
 def test_step_matches_allocating_reference(example, nx, ny, monkeypatch):
-    # the one-buffer right-hand side and the in-place CG repeat the
-    # allocating versions operation for operation
+    # the step's right-hand side expression, with and without its
+    # reaction term, and the in-place CG repeat the allocating versions
+    # operation for operation
     p = example()
     g = p.space_grid(nx, ny)
     solves = []
