@@ -11,7 +11,9 @@ t* the shifted evaluation time. The first level u^1 comes from an
 integration of the method-of-lines system whose error sits far below the
 scheme's O(dt^2): adaptive Dormand-Prince 5(4) on a non-stiff start
 interval, and an exponential integrator (ETDRK4) that treats the
-diffusion exactly in the sine basis on a stiff one.
+diffusion exactly in the sine basis on a stiff one. The Dormand-Prince
+integrator is this module's own and follows scipy's ``RK45`` operation
+by operation, so no run imports ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -102,15 +104,91 @@ class RunReport:
                 )
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first DP5(4) start.
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980): stage nodes C, stage weights A, fifth-order weights B, and error
+# weights E (B minus the embedded fourth-order weights, over all seven stages
+# including the first-same-as-last one)
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 
-    scipy.integrate pulls in scipy.optimize, sparse and linalg, which a
-    run that starts with ETDRK4 never uses.
+
+@dataclass(frozen=True)
+class DP54Result:
+    """The state ``y`` reached, and ``nfev`` right-hand-side evaluations."""
+
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol) -> DP54Result:
+    """Adaptive Dormand-Prince 5(4) on y' = fun(t, y) over t_span = (t0, t1).
+
+    The step control of Hairer, Norsett & Wanner, Solving ODEs I, II.4:
+    the first step from their initial-step heuristic, the weighted RMS
+    error of the embedded pair, safety 0.9, step factors in [0.2, 10] and
+    no growth right after a rejection. Operations follow scipy's ``RK45``
+    in order, so this gives its bits and its ``nfev``. Requires t1 > t0.
     """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
+    t, t1 = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("the initial state is not finite")
+    f = fun(t, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t1 - t)
+    nfev = 2
+    K = np.empty((7, y.size))
+    while t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            # catches NaN too, from a right-hand side that is not finite
+            if not h_abs >= min_step:
+                return DP54Result(y, nfev, False, (
+                    f"step size {h_abs:.3e} fell below 10 float spacings at "
+                    f"t={float(t)!r} after {nfev} right-hand-side evaluations"))
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _DP_C[s] * h, y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** -0.2)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return DP54Result(y, nfev, True, "reached the end of the interval")
 
 
 class InitializationError(RuntimeError):
@@ -164,16 +242,17 @@ def rk_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
     to 1e-10 so the starter error is negligible against the scheme error.
     """
     failed = _check_interval(t0, t1)
+    if not rtol >= 100 * np.finfo(float).eps:
+        raise ValueError(f"rtol must be at least 100 * eps, got {rtol!r}")
+    if not atol >= 0.0:
+        raise ValueError(f"atol must be nonnegative, got {atol!r}")
     try:
-        sol = solve_ivp(
-            mol_rhs(problem, sgrid), (t0, t1), np.asarray(u0, dtype=float),
-            method="RK45", rtol=rtol, atol=atol,
-        )
+        sol = solve_ivp(mol_rhs(problem, sgrid), (t0, t1), u0, rtol, atol)
     except Exception as exc:
         raise InitializationError(failed) from exc
     if not sol.success:
         raise InitializationError(f"{failed}: {sol.message}")
-    return sol.y[:, -1], StarterRecord("dp54", nfev=int(sol.nfev))
+    return sol.y, StarterRecord("dp54", nfev=sol.nfev)
 
 
 def phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -193,6 +193,11 @@ def mol_rhs_oracle(problem, sgrid):
     return rhs
 
 
+def rk45(fun, t_span, y0, rtol, atol):
+    """scipy's RK45 on y' = fun(t, y): the oracle of ``stepper.solve_ivp``."""
+    return solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol, atol=atol)
+
+
 def mol_reference(problem, sgrid, rtol=1e-10):
     """Method-of-lines solution at t = T on sgrid's interior nodes.
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import shlex
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fisherkpp import analysis, cli, stepper
+from fisherkpp import analysis, cli, spatial, stepper
 from fisherkpp.cli import (
     ConfigError,
     RunConfig,
@@ -299,6 +300,33 @@ def test_benchmark_sweep_calls_each_traced_name_once_per_integration(
                    "--sweep-m", "20,40,80", "--grids", "graded:0.75",
                    "--betas", "sqrt2,2,pi", "-o", str(tmp_path / "out")) == 0
     assert calls == dict.fromkeys(names, 9)
+
+
+@pytest.mark.parametrize("sweep, built", [
+    (["--nx", "8", "--sweep-m", "4,8"], [(8, 8)]),
+    (["-M", "8", "--sweep-n", "4,8"], [(4, 4), (8, 8)]),
+], ids=["temporal", "spatial"])
+def test_convergence_builds_each_space_grid_once(tmp_path, monkeypatch, sweep,
+                                                 built):
+    # three betas and two time grids per size share one grid and its ring
+    real = spatial.SpaceGrid.boundary_ring.func
+    sizes = []
+
+    def counted(grid):
+        sizes.append((grid.nx, grid.ny))
+        return real(grid)
+
+    ring = functools.cached_property(counted)
+    ring.__set_name__(spatial.SpaceGrid, "boundary_ring")
+    monkeypatch.setattr(spatial.SpaceGrid, "boundary_ring", ring)
+    assert run_cli("convergence", "--example", "wave", *sweep,
+                   "--betas", "sqrt2,2,pi", "--grids", "uniform,graded:0.75",
+                   "-o", str(tmp_path / "out")) == 0
+    assert sizes == built
+    # every call builds its own grids
+    assert run_cli("convergence", "--example", "wave", *sweep,
+                   "-o", str(tmp_path / "again")) == 0
+    assert sizes == built * 2
 
 
 @pytest.mark.parametrize("flag, value, key, label", [

@@ -30,7 +30,7 @@ from fisherkpp.stepper import (
 from fisherkpp.timegrid import TimeGrid, uniform_grid, graded_grid
 from fisherkpp.analysis import exact_final_field, linf_error
 
-from oracles import cg_allocating, laplacian_slices, step_rhs_allocating
+from oracles import cg_allocating, laplacian_slices, rk45, step_rhs_allocating
 
 LOGISTIC = Nonlinearity("logistic_p", p=1)
 
@@ -103,18 +103,80 @@ def test_starter_names_reaction_failure():
     assert "p=0.5" in str(info.value.__cause__)
 
 
-def test_rk_init_reports_step_size_underflow():
-    # u' = u^2 from a large start blows up inside the interval, driving the
-    # adaptive step below machine resolution
+def blowup_start():
+    # u' = u^2 from u = 1000 blows up at t = 1/1000, inside the interval,
+    # driving the adaptive step below machine resolution
     p = ProblemSpec(
         name="blowup", domain=(0.0, 1.0, 0.0, 1.0), T=1.0, D=0.0, K=1.0,
         nonlinearity=Nonlinearity(PQ_PRODUCT, p=2, q=0),
         boundary=lambda x, y, t: 0.0, initial=lambda x, y: 0.0,
     )
     g = p.space_grid(5, 5)
+    return p, g, 0.0, 0.5, np.full(g.n_interior, 1000.0)
+
+
+def test_rk_init_reports_step_size_underflow():
+    p, g, t0, t1, u0 = blowup_start()
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InitializationError):
-            rk_init(p, g, 0.0, 0.5, np.full(g.n_interior, 1000.0))
+        with pytest.raises(InitializationError, match=(
+                r"starter integration failed on \[0.0, 0.5\]: step size "
+                r"\d\.\d{3}e-\d+ fell below 10 float spacings at "
+                r"t=0\.000999\d+ after \d+ right-hand-side evaluations$")):
+            rk_init(p, g, t0, t1, u0)
+
+
+def graded_start(problem, n, m):
+    g = problem.space_grid(n, n)
+    nodes = graded_grid(problem.T, m, 0.75).nodes
+    return problem, g, nodes[0], nodes[1], eval_interior(problem.initial, g)
+
+
+def wave_24x20_start():
+    p = example2()
+    g = p.space_grid(24, 20)
+    return p, g, 0.3, 0.55, eval_interior(p.exact, g, t=0.3)
+
+
+@pytest.mark.parametrize("start, tol", [
+    (lambda: graded_start(example2(), 160, 80), 1e-10),  # the wave-solve start
+    (lambda: graded_start(example1(), 16, 20), 1e-10),   # an mms-sweep-graded start
+    (wave_24x20_start, 1e-13),
+    (blowup_start, 1e-10),
+], ids=["wave-160", "manufactured-16", "wave-24x20-tol1e-13", "blowup"])
+def test_dp54_matches_scipy_rk45_bit_for_bit(start, tol):
+    p, g, t0, t1, u0 = start()
+    rhs = stepper.mol_rhs(p, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = stepper.solve_ivp(rhs, (t0, t1), u0, tol, tol)
+        want = rk45(rhs, (t0, t1), u0, tol, tol)
+    assert got.success == want.success == (p.name != "blowup")
+    assert got.nfev == want.nfev
+    assert np.array_equal(got.y, want.y[:, -1])
+
+
+@pytest.mark.parametrize("rtol, atol, message", [
+    (1e-15, 1e-10, r"rtol must be at least 100 \* eps, got 1e-15"),
+    (100 * np.finfo(float).eps / 2, 0.0, "rtol must be at least"),
+    (math.nan, 1e-10, r"rtol must be at least 100 \* eps, got nan"),
+    (1e-10, -1e-12, "atol must be nonnegative, got -1e-12"),
+    (1e-10, math.nan, "atol must be nonnegative, got nan"),
+])
+def test_rk_init_rejects_tolerances_out_of_range(rtol, atol, message):
+    p = quiescent_problem()
+    g = p.space_grid(6, 6)
+    with pytest.raises(ValueError, match=message):
+        rk_init(p, g, 0.0, 0.5, np.zeros(g.n_interior), rtol=rtol, atol=atol)
+
+
+def test_dp54_fails_on_a_right_hand_side_that_is_not_finite():
+    # scipy's RK45 loops forever here: its NaN step never compares below
+    # the minimum step
+    with np.errstate(invalid="ignore"):
+        sol = stepper.solve_ivp(lambda t, y: np.full_like(y, np.nan),
+                                (0.0, 1.0), np.ones(3), 1e-10, 1e-10)
+    assert not sol.success
+    assert sol.message == ("step size nan fell below 10 float spacings at "
+                           "t=0.0 after 2 right-hand-side evaluations")
 
 
 # ----------------------------------------------------------------- etd_init
