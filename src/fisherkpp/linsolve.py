@@ -21,7 +21,6 @@ from .spatial import (
     _stencil,
     check_field,
     from_sine,
-    laplacian_eigenvalues,
     to_sine,
 )
 # apply_laplacian stays bound for perfbench/tracer.py, which wraps it by name
@@ -102,7 +101,19 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     if max_iter is None:
         max_iter = 10 * (op.grid.nx + op.grid.ny)
 
-    b_norm = float(np.linalg.norm(rhs))
+    # the bits of np.linalg.norm, whose np.dot warns when the sum of
+    # squares overflows; np.vdot does not, so no np.errstate block is needed
+    b_norm = math.sqrt(np.vdot(rhs, rhs))
+    if b_norm == math.inf and np.isfinite(rhs).all():
+        # the 2-norm of a finite right-hand side overflowed: solve the same
+        # system scaled by 2^-e, e the exponent of max|rhs|. The scale is
+        # exact while sigma and kappa stay normal floats, and the solution
+        # is the same, so x0 and lap_x0 stay valid
+        s = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max()))[1])
+        scaled = cg_solve(ShiftedOperator(op.sigma * s, op.kappa * s, op.grid),
+                          rhs * s, tol, max_iter, x0, lap_x0)
+        scaled.residuals = [r / s for r in scaled.residuals]
+        return scaled
     if b_norm == 0.0:
         return CGResult(x=np.zeros_like(rhs), iterations=0, residuals=[0.0])
 
@@ -160,5 +171,5 @@ def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> np.ndarray:
     that binding goes.
     """
     rhs = check_field(rhs, op.grid)
-    shift = op.sigma - op.kappa * laplacian_eigenvalues(op.grid)
+    shift = op.sigma - op.kappa * op.grid.laplacian_eigenvalues
     return from_sine(to_sine(rhs, op.grid) / shift, op.grid)

@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,23 @@ class SpaceGrid:
         ax, ay = 1.0 / self.hx**2, 1.0 / self.hy**2
         weight = np.repeat([ax, ax, ay, ay], [rows, rows, cols, cols])
         return BoundaryRing(*map(_read_only, (x, y, node, weight)))
+
+    @cached_property
+    def laplacian_eigenvalues(self) -> np.ndarray:
+        """Spectrum of ``apply_laplacian`` in the type-I sine basis (read-only).
+
+        The sine modes sin(i*pi*x/Lx) sin(j*pi*y/Ly) diagonalise the 5-point
+        Laplacian with zero boundary values, so for a field u
+
+            apply_laplacian(u) = from_sine(lam * to_sine(u))
+
+        with lam[j-1, i-1] = -(4/hx^2) sin^2(i*pi/(2Nx))
+                             - (4/hy^2) sin^2(j*pi/(2Ny)).
+        """
+        nx, ny = self.nx, self.ny
+        lx = -4.0 / self.hx**2 * np.sin(np.pi * np.arange(1, nx) / (2 * nx)) ** 2
+        ly = -4.0 / self.hy**2 * np.sin(np.pi * np.arange(1, ny) / (2 * ny)) ** 2
+        return _read_only(ly[:, None] + lx[None, :])
 
 
 class BoundaryRing(NamedTuple):
@@ -189,33 +205,23 @@ def _stencil(plan: tuple) -> np.ndarray:
     return out
 
 
-def laplacian_eigenvalues(grid: SpaceGrid) -> np.ndarray:
-    """Spectrum of ``apply_laplacian`` in the type-I sine basis.
-
-    The sine modes sin(i*pi*x/Lx) sin(j*pi*y/Ly) diagonalise the 5-point
-    Laplacian with zero boundary values, so for a field u
-
-        apply_laplacian(u) = from_sine(lam * to_sine(u))
-
-    with lam[j-1, i-1] = -(4/hx^2) sin^2(i*pi/(2Nx)) - (4/hy^2) sin^2(j*pi/(2Ny)).
-    """
-    lx = -4.0 / grid.hx**2 * np.sin(np.pi * np.arange(1, grid.nx) / (2 * grid.nx)) ** 2
-    ly = -4.0 / grid.hy**2 * np.sin(np.pi * np.arange(1, grid.ny) / (2 * grid.ny)) ** 2
-    return ly[:, None] + lx[None, :]
-
-
 def to_sine(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
     """Coefficients of the field u in the sine basis of
-    ``laplacian_eigenvalues``, an array of shape ``grid.shape``.
+    ``grid.laplacian_eigenvalues``, an array of shape ``grid.shape``.
 
     The ``scipy.fft`` DST ``type=1, norm="ortho"`` on both axes of the
     x-fastest field. It is orthonormal, and ``from_sine`` is its inverse.
+    ``scipy.fft`` is imported here and in ``from_sine``, on the first
+    transform, not with the package: its import costs about 0.3 s, and a
+    run that starts with DP5(4) and solves with CG transforms nothing.
     """
+    from scipy.fft import dstn
     return dstn(np.reshape(u, grid.shape), type=1, norm="ortho")
 
 
 def from_sine(v: np.ndarray, grid: SpaceGrid) -> np.ndarray:
     """The field, flattened x-fastest, whose sine coefficients are v."""
+    from scipy.fft import idstn
     return idstn(np.reshape(v, grid.shape), type=1, norm="ortho").ravel()
 
 

@@ -36,7 +36,6 @@ from .spatial import (
     boundary_contribution,
     eval_interior,
     from_sine,
-    laplacian_eigenvalues,
     to_sine,
 )
 from .timegrid import TimeGrid
@@ -286,7 +285,7 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
     """Advance u0 from t0 to t1 with ETDRK4 in the sine basis.
 
     The linear part D * L is diagonal in the type-I sine basis
-    (``laplacian_eigenvalues``) and integrated exactly; the forcing
+    (``sgrid.laplacian_eigenvalues``) and integrated exactly; the forcing
     ``mol_forcing`` enters through the Cox-Matthews ETDRK4 stages. The
     substep count doubles from 1 until the Richardson estimate
     |v_n - v_{n/2}| / 15 of the fourth-order result is at most
@@ -301,7 +300,7 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
     """
     failed = _check_interval(t0, t1)
     forcing = mol_forcing(problem, sgrid)
-    lam = problem.D * laplacian_eigenvalues(sgrid)
+    lam = problem.D * sgrid.laplacian_eigenvalues
 
     def n_hat(t, v):
         return to_sine(forcing(t, from_sine(v, sgrid)), sgrid)

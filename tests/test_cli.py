@@ -449,6 +449,19 @@ def test_run_on_steps_below_1e_162(tmp_path):
     assert 0.0 < linf < 1e-180 and 0.0 < l2 < 1e-180
 
 
+@pytest.mark.parametrize("t_final", ["1e-160", "1e-300", "1e-307"])
+def test_run_on_steps_whose_right_hand_side_norm_overflows(tmp_path, t_final):
+    # the wave's step right-hand side grows like 1/tau: past about 1e154 its
+    # 2-norm overflows although every entry is finite, and CG solves the
+    # system scaled by a power of two
+    out = tmp_path / "out"
+    assert run_cli("run", "--example", "wave", "-M", "4", "--nx", "8",
+                   "--t-final", t_final, "-o", str(out)) == 0
+    rows = (out / "report.csv").read_text().splitlines()[3:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
+
+
 def test_run_on_subnormal_steps_names_non_finite_weights(tmp_path, capsys):
     # the weights of a 2.5e-321 step overflow; integrate hands the step
     # float nodes, so numpy warns of no overflow on the way

@@ -1,5 +1,6 @@
 """Every name a package module imports is used there, and no run loads
-more of scipy than its sine transform.
+more of scipy than its sine transform, which loads with the first
+transform: a run that makes none loads no scipy at all.
 
 The one exception is a name that ``perfbench/tracer.py`` wraps by its
 module-level binding (a target of ``LAYERS``): the traced benchmark
@@ -55,51 +56,73 @@ def test_every_import_is_used_or_tracer_bound(path):
     assert not unused, f"{path.name} imports unused names {sorted(unused)}"
 
 
-def imported_paths(tree):
-    """Dotted path of every import: 'scipy.fft.dstn' for
-    ``from scipy.fft import dstn``, 'scipy.fft' for ``from scipy import fft``."""
-    paths = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            paths.update(f"{node.module}.{a.name}" for a in node.names)
-        elif isinstance(node, ast.Import):
-            paths.update(a.name for a in node.names)
-    return paths
+def import_paths(node):
+    """Dotted path of each name an import statement binds: 'scipy.fft.dstn'
+    for ``from scipy.fft import dstn``, 'scipy.fft' for ``import scipy.fft``;
+    none for any other node."""
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [f"{node.module}.{a.name}" for a in node.names]
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    return []
+
+
+def scoped_imports(node, scope="<module>"):
+    """(qualified name of the innermost def or class around it, dotted
+    path) of every import under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+        yield from ((inner, path) for path in import_paths(child))
+        yield from scoped_imports(child, inner)
 
 
 def test_only_spatial_imports_the_sine_transform():
     # to_sine / from_sine in spatial.py own the DST-I convention, and
-    # scipy.fft is the only part of scipy the package loads: the DP5(4)
-    # starter is in-house, so no run imports scipy.integrate
+    # scipy.fft is the only part of scipy the package loads, inside them
+    # so that a run which transforms nothing does not load it: an import
+    # at module level, or anywhere else, fails here by name
     scipy_imports = set()
     for p in sorted(PACKAGE.glob("*.py")):
         scipy_imports.update(
-            (p.name, m) for m in imported_paths(ast.parse(p.read_text()))
+            (p.name, scope, m)
+            for scope, m in scoped_imports(ast.parse(p.read_text()))
             if m == "scipy" or m.startswith("scipy."))
     assert scipy_imports
-    assert all(name == "spatial.py" and m.startswith("scipy.fft.")
-               for name, m in scipy_imports), sorted(scipy_imports)
+    assert all(name == "spatial.py" and scope in ("to_sine", "from_sine")
+               and m.startswith("scipy.fft.")
+               for name, scope, m in scipy_imports), sorted(scipy_imports)
 
 
 @pytest.mark.parametrize("argv, starter", [
+    (None, None),
     (["--nx", "48", "-M", "6"], "etdrk4"),
     (["--nx", "8", "-M", "6"], "dp54"),
-], ids=["etdrk4", "dp54"])
+], ids=["import", "etdrk4", "dp54"])
 def test_no_run_loads_scipy_integrate_optimize_sparse_or_linalg(tmp_path, argv,
                                                                starter):
+    # only the ETDRK4 starter transforms: the package's import and a
+    # DP5(4) run, which solves with CG, load no scipy module at all
     out = tmp_path / "out"
-    script = (
-        "import sys\n"
-        "from fisherkpp.cli import main\n"
-        f"assert main(['run', '--example', 'manufactured', *{argv!r}, "
-        f"'-o', {str(out)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'],"
-        " ['scipy', 'linalg'])))\n"
-    )
+    script = "import sys\nimport fisherkpp, fisherkpp.cli\n"
+    if argv is not None:
+        script += (
+            "from fisherkpp.cli import main\n"
+            f"assert main(['run', '--example', 'manufactured', *{argv!r}, "
+            f"'-o', {str(out)!r}]) == 0\n"
+        )
+    script += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
-    assert f"# starter={starter} " in (out / "report.csv").read_text()
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    if starter == "etdrk4":
+        assert "scipy.fft" in loaded
+        assert not {"scipy.integrate", "scipy.optimize", "scipy.sparse",
+                    "scipy.linalg"} & set(loaded)
+    else:
+        assert loaded == []
+    if starter is not None:
+        assert f"# starter={starter} " in (out / "report.csv").read_text()

@@ -10,7 +10,7 @@ from fisherkpp.linsolve import (
 )
 from fisherkpp.coeffs import nonuniform_coeffs
 from fisherkpp.problems import example1, example2
-from fisherkpp.spatial import SpaceGrid, apply_laplacian, laplacian_eigenvalues
+from fisherkpp.spatial import SpaceGrid, apply_laplacian
 from fisherkpp.timegrid import time_grid
 
 from oracles import cg_allocating, dense_laplacian
@@ -193,6 +193,24 @@ def test_non_finite_input_raises_instead_of_returning_warm_start(bad):
         cg_solve(op, rng.standard_normal(n), x0=x0)
 
 
+def test_finite_rhs_whose_norm_overflows_keeps_the_iterates():
+    # sigma, kappa and rhs times 2^600: the 2-norm of rhs overflows while
+    # every entry is finite, and CG scales the system back by a power of
+    # two, which leaves every iterate's bits and scales the residuals
+    rng = np.random.default_rng(19)
+    op = operator(9)
+    rhs = rng.standard_normal(op.grid.n_interior)
+    x0 = rng.standard_normal(op.grid.n_interior)
+    lap_x0 = apply_laplacian(x0, op.grid)
+    big = 2.0**600
+    want = cg_solve(op, rhs, x0=x0, lap_x0=lap_x0)
+    got = cg_solve(ShiftedOperator(op.sigma * big, op.kappa * big, op.grid),
+                   rhs * big, x0=x0, lap_x0=lap_x0)
+    assert got.iterations == want.iterations > 1
+    assert np.array_equal(got.x, want.x)
+    assert got.residuals == [r * big for r in want.residuals]
+
+
 def test_deterministic_given_same_inputs():
     rng = np.random.default_rng(17)
     op = operator(9)
@@ -230,7 +248,7 @@ def test_direct_matches_dense_kronecker_solve(nx, ny, sigma):
 def graded_step_operator(problem, grid, beta):
     """The shifted operator of the worst-conditioned step of the graded
     M = 80, gamma = 0.75 grid, and its 2-norm condition number."""
-    lam = laplacian_eigenvalues(grid)
+    lam = grid.laplacian_eigenvalues
     nodes = time_grid(problem.T, 80, 0.75).nodes
     worst = None
     for n in range(1, 80):

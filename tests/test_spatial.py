@@ -12,7 +12,6 @@ from fisherkpp.spatial import (
     eval_interior,
     field_to_csv,
     from_sine,
-    laplacian_eigenvalues,
     to_sine,
 )
 
@@ -109,7 +108,7 @@ def test_eval_interior_never_aliases_a_full_shape_return():
 
 def test_laplacian_eigenvalues_diagonalise_the_stencil():
     g = SpaceGrid(-1.0, 2.5, 0.0, 1.2, 24, 20)
-    lam = laplacian_eigenvalues(g)
+    lam = g.laplacian_eigenvalues
     assert lam.shape == g.shape
     assert np.all(lam < 0.0)
     u = np.random.default_rng(3).standard_normal(g.n_interior)
@@ -119,6 +118,15 @@ def test_laplacian_eigenvalues_diagonalise_the_stencil():
     assert np.abs(spectral - want).max() <= 1e-12 * np.abs(want).max()
     # the library's transform pair is the same DST-I, bit for bit
     assert np.array_equal(from_sine(lam * to_sine(u, g), g), spectral)
+
+
+def test_laplacian_eigenvalues_are_cached_read_only():
+    g = SpaceGrid(0.0, 1.0, 0.0, 2.0, 7, 5)
+    lam = g.laplacian_eigenvalues
+    assert g.laplacian_eigenvalues is lam
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0, 0] = 0.0
 
 
 def test_sine_transform_pair_is_orthonormal():
