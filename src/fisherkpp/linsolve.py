@@ -1,11 +1,13 @@
 """Per-step SPD solves of (sigma*I - kappa*L) x = r.
 
 L is the (negative definite) discrete Laplacian, so the shifted operator
-is symmetric positive definite for sigma, kappa > 0. The workhorse is a
-matrix-free conjugate gradient iteration that applies the operator on
-its own buffers; a solve that misses its tolerance raises
-``SolveFailure``, which stops the run. An exact solve in the sine basis,
-where the operator is diagonal, backs it as an oracle.
+is symmetric positive definite for sigma > 0, kappa >= 0. The workhorse
+is a matrix-free conjugate gradient iteration that applies the operator
+as one 5-point stencil, with weights sigma + 2 kappa (1/hx^2 + 1/hy^2)
+at the centre and -kappa/hx^2, -kappa/hy^2 at the neighbours, on its own
+buffers; a solve that misses its tolerance raises ``SolveFailure``,
+which stops the run. An exact solve in the sine basis, where the
+operator is diagonal, backs it as an oracle.
 """
 
 from __future__ import annotations
@@ -41,12 +43,6 @@ class ShiftedOperator:
                 f"operator must be SPD: sigma={self.sigma}, kappa={self.kappa}"
             )
 
-    def _shift(self, v: np.ndarray, lap: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """sigma * v - kappa * lap into ``lap`` (lap = L v), sigma * v into ``work``."""
-        lap *= self.kappa
-        sigma_v = np.multiply(v, self.sigma, work)
-        return np.subtract(sigma_v, lap, lap)
-
 
 class SolveFailure(RuntimeError):
     """CG missed the tolerance within max_iter or met a non-finite value."""
@@ -60,8 +56,8 @@ class CGResult:
 
 
 def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
-             max_iter: int | None = None, x0: np.ndarray | None = None,
-             lap_x0: np.ndarray | None = None) -> CGResult:
+             max_iter: int | None = None, x0: np.ndarray | None = None
+             ) -> CGResult:
     """Conjugate gradients to relative residual ``tol``.
 
     Parameters
@@ -75,11 +71,8 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     max_iter : int, optional
         Iteration cap; defaults to 10 * (Nx + Ny).
     x0 : ndarray, optional
-        Warm start (default zero).
-    lap_x0 : ndarray, optional
-        ``apply_laplacian(x0)``, when the caller has it already; the
-        initial residual then takes it instead of running the stencil.
-        It is read, never written. Needs ``x0``.
+        Warm start (default zero). The initial residual applies the
+        operator to it with the same stencil as every iteration.
 
     Returns
     -------
@@ -94,8 +87,6 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
         right-hand side or a residual is not finite.
     """
     rhs = check_field(rhs, op.grid)
-    if lap_x0 is not None and x0 is None:
-        raise ValueError("lap_x0 needs the warm start x0 it was taken of")
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if max_iter is None:
@@ -108,10 +99,10 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
         # the 2-norm of a finite right-hand side overflowed: solve the same
         # system scaled by 2^-e, e the exponent of max|rhs|. The scale is
         # exact while sigma and kappa stay normal floats, and the solution
-        # is the same, so x0 and lap_x0 stay valid
+        # is the same, so x0 stays valid
         s = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max()))[1])
         scaled = cg_solve(ShiftedOperator(op.sigma * s, op.kappa * s, op.grid),
-                          rhs * s, tol, max_iter, x0, lap_x0)
+                          rhs * s, tol, max_iter, x0)
         scaled.residuals = [r / s for r in scaled.residuals]
         return scaled
     if b_norm == 0.0:
@@ -124,15 +115,11 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     # iteration allocates nothing and builds no views (the ufuncs take
     # their output positionally, as in the stencil)
     p, q, w = np.empty_like(rhs), np.empty_like(rhs), np.empty_like(rhs)
-    plan = _laplacian_plan(p, op.grid, q, w)
-    # L x goes into q, from the caller or through p, so that one plan
+    plan = _laplacian_plan(p, op.grid, q, w, op.sigma, op.kappa)
+    # the operator applied to x goes into q through p, so that one plan
     # serves the initial residual too
-    if lap_x0 is None:
-        np.copyto(p, x)
-        _stencil(plan)
-    else:
-        np.copyto(q, check_field(lap_x0, op.grid))
-    r = rhs - op._shift(x, q, w)
+    np.copyto(p, x)
+    r = rhs - _stencil(plan)
     rr = float(r @ r)
     np.copyto(p, r)
 
@@ -148,7 +135,7 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
                 f"CG stalled at relative residual {res / b_norm:.3e} "
                 f"after {k} iterations (target {tol:g})"
             )
-        op._shift(p, _stencil(plan), w)
+        _stencil(plan)
         alpha = rr / float(p @ q)
         x += np.multiply(p, alpha, w)
         r -= np.multiply(q, alpha, w)

@@ -386,8 +386,8 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, t_prev: float,
     come from the node triple (t_prev, t_curr, t_next). ``liftings`` holds
     the Dirichlet liftings bc_n and bc_{n+1} at t_curr and t_next, which
     the step reads and never writes; they are evaluated when not given.
-    Returns u^{n+1} and the CG result of its solve, warm-started from u^n,
-    with the step's own L u^n for the initial residual, at the default
+    A problem without a source adds no source term. Returns u^{n+1} and
+    the CG result of its solve, warm-started from u^n at the default
     tolerance of ``cg_solve``.
     """
     if liftings is None:
@@ -400,14 +400,15 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, t_prev: float,
     c0, c1 = coeffs.c
     D, K = problem.D, problem.K
 
-    lap = apply_laplacian(u_curr, sgrid)
-    rhs = -a1*u_curr - a0*u_prev + D*b0*(lap + bc_curr) + D*b1*bc_next
+    rhs = (-a1*u_curr - a0*u_prev + D*b0*(apply_laplacian(u_curr, sgrid) + bc_curr)
+           + D*b1*bc_next)
     if K != 0.0:
         rhs += K * f_eval(c1*u_curr + c0*u_prev, problem.nonlinearity)
-    rhs += source_at_shifted_time(problem, coeffs.t_eval, sgrid)
+    if problem.source is not None:
+        rhs += source_at_shifted_time(problem, coeffs.t_eval, sgrid)
 
     op = ShiftedOperator(sigma=a2, kappa=D * b1, grid=sgrid)
-    result = cg_solve(op, rhs, x0=u_curr, lap_x0=lap)
+    result = cg_solve(op, rhs, x0=u_curr)
     return result.x, result
 
 

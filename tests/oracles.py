@@ -4,11 +4,12 @@ Everything here deliberately avoids the library's own code paths: numpy
 linear solves instead of closed-form elimination, explicit loops instead
 of vectorized stencils, finite differences instead of hand-derived
 sources, a sparse Kronecker Laplacian and scipy's Runge-Kutta instead of
-the matrix-free stencil and the stepper. The slice-form stencil, the
-per-edge lifting, the per-node CSV writer, and the conjugate gradient
-loop and step right-hand side that allocate a new array per operation
-are earlier library versions, kept as references that the current ones
-must match bit for bit.
+the matrix-free stencil and the stepper. The slice-form stencils of the
+Laplacian and of the shifted operator, the per-edge lifting, the
+per-node CSV writer, and the conjugate gradient loop and step
+right-hand side that allocate a new array per operation do the
+library's arithmetic in plainer form, kept as references that the
+library must match bit for bit.
 """
 
 import math
@@ -90,10 +91,8 @@ def lagrange_coeffs(t_prev, t_curr, t_next, beta):
     return StepCoefficients(a=(a0, a1, a2), b=(b0, b1), c=(c0, c1), t_eval=t_star)
 
 
-def dense_laplacian(sgrid):
-    """The 5-point Laplacian with zero boundary values as a dense matrix,
-    assembled by np.kron from one tridiagonal second difference per axis:
-    L = I_y (x) A_x + A_y (x) I_x."""
+def second_differences(sgrid):
+    """The dense tridiagonal second differences (A_x, A_y) of the axes."""
 
     def trid(m, h2):
         t = np.zeros((m, m))
@@ -105,9 +104,24 @@ def dense_laplacian(sgrid):
                 t[i, i + 1] = 1.0 / h2
         return t
 
-    nx, ny = sgrid.nx, sgrid.ny
-    return np.kron(np.eye(ny - 1), trid(nx - 1, sgrid.hx**2)) \
-        + np.kron(trid(ny - 1, sgrid.hy**2), np.eye(nx - 1))
+    return trid(sgrid.nx - 1, sgrid.hx**2), trid(sgrid.ny - 1, sgrid.hy**2)
+
+
+def dense_laplacian(sgrid):
+    """The 5-point Laplacian with zero boundary values as a dense matrix,
+    assembled by np.kron from one tridiagonal second difference per axis:
+    L = I_y (x) A_x + A_y (x) I_x."""
+    a_x, a_y = second_differences(sgrid)
+    return np.kron(np.eye(sgrid.ny - 1), a_x) + np.kron(a_y, np.eye(sgrid.nx - 1))
+
+
+def kronecker_matvec(a_x, a_y, v):
+    """(I_y (x) A_x + A_y (x) I_x) v without assembling the Kronecker
+    products: V A_x^T + A_y V for the x-fastest field V of shape
+    (len(A_y), len(A_x)). With ``second_differences`` it is
+    ``dense_laplacian @ v`` on grids where that matrix would not fit."""
+    V = np.reshape(v, (len(a_y), len(a_x)))
+    return (V @ a_x.T + a_y @ V).ravel()
 
 
 def dense_step_oracle(problem, sgrid, t_prev, t_curr, t_next, beta,
@@ -227,6 +241,21 @@ def laplacian_slices(u, grid):
     return out.ravel()
 
 
+def operator_slices(v, grid, sigma, kappa):
+    """sigma*v - kappa*L v as one 5-point stencil, one scaled slice per
+    term: weights sigma + 2 kappa (ax + ay) at the centre, -kappa ax and
+    -kappa ay at the neighbours."""
+    V = np.asarray(v, dtype=float).reshape(grid.shape)
+    ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
+    wx, wy = -kappa * ax, -kappa * ay
+    out = (sigma + 2.0 * kappa * (ax + ay)) * V
+    out[:, 1:] += wx * V[:, :-1]
+    out[:, :-1] += wx * V[:, 1:]
+    out[1:, :] += wy * V[:-1, :]
+    out[:-1, :] += wy * V[1:, :]
+    return out.ravel()
+
+
 def lifting_per_edge(bc, t, grid):
     """Dirichlet lifting with one ``bc`` call per edge, added left, right,
     bottom, top into a zero field."""
@@ -256,13 +285,21 @@ def field_to_csv_per_node(u, grid, path, header_lines=()):
             fh.write(f"{float(xv)!r},{float(yv)!r},{float(uv)!r}\n")
 
 
-def cg_allocating(sigma, kappa, grid, rhs, x0, tol=1e-10):
+def unfolded_operator_slices(v, grid, sigma, kappa):
+    """sigma*v - kappa*(L v), L v from ``laplacian_slices``: the same
+    matrix as ``operator_slices``, rounded another way, the shift and
+    scale applied after the stencil of the Laplacian's own weights."""
+    return sigma * v - kappa * laplacian_slices(v, grid)
+
+
+def cg_allocating(sigma, kappa, grid, rhs, x0, tol=1e-10, operator=operator_slices):
     """Conjugate gradients on sigma*I - kappa*L with a new array for every
     operator application and update, the operator applied through
-    ``laplacian_slices``. Returns (x, iterations, residual history)."""
+    ``operator(v, grid, sigma, kappa)``. Returns (x, iterations, residual
+    history)."""
 
     def apply(v):
-        return sigma * v - kappa * laplacian_slices(v, grid)
+        return operator(v, grid, sigma, kappa)
 
     b_norm = float(np.linalg.norm(rhs))
     x = x0.copy()
@@ -301,5 +338,6 @@ def step_rhs_allocating(problem, sgrid, t_prev, t_curr, t_next, beta,
     rhs += D * b1 * lift(t_next)
     if K != 0.0:
         rhs += K * f_eval(c1 * u_curr + c0 * u_prev, problem.nonlinearity)
-    rhs += source_at_shifted_time(problem, cf.t_eval, sgrid)
+    if problem.source is not None:
+        rhs += source_at_shifted_time(problem, cf.t_eval, sgrid)
     return rhs, a2, D * b1

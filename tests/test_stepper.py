@@ -30,7 +30,12 @@ from fisherkpp.stepper import (
 from fisherkpp.timegrid import TimeGrid, uniform_grid, graded_grid
 from fisherkpp.analysis import exact_final_field, linf_error
 
-from oracles import cg_allocating, laplacian_slices, rk45, step_rhs_allocating
+from oracles import (
+    cg_allocating,
+    rk45,
+    step_rhs_allocating,
+    unfolded_operator_slices,
+)
 
 LOGISTIC = Nonlinearity("logistic_p", p=1)
 
@@ -396,9 +401,9 @@ def test_step_matches_allocating_reference(example, nx, ny, monkeypatch):
         assert not np.shares_memory(u_next, u_curr)
 
 
-def test_step_hands_cg_the_laplacian_of_its_warm_start(monkeypatch):
-    # the step's own L u^n serves CG's initial residual, so a step runs
-    # the stencil once besides CG's iterations; u^n and u^{n-1} stay as given
+def test_step_runs_the_stencil_twice_besides_cg_iterations(monkeypatch):
+    # once for L u^n in the right-hand side and once for CG's initial
+    # residual, on the warm start u^n; u^n and u^{n-1} stay as given
     p = example2()
     g = p.space_grid(12, 9)
     runs, given = [], []
@@ -419,11 +424,42 @@ def test_step_hands_cg_the_laplacian_of_its_warm_start(monkeypatch):
     u_prev, u_curr = rng.uniform(0.0, 1.0, (2, g.n_interior))
     before = u_prev.copy(), u_curr.copy()
     _, solve = bdf_imex_step(u_prev, u_curr, 0.1, 0.13, 0.17, 2.0, p, g)
-    assert len(runs) == 1 + solve.iterations
+    assert solve.iterations > 0
+    assert len(runs) == solve.iterations + 2
     (kwargs,) = given
-    assert kwargs["x0"] is u_curr
-    assert np.array_equal(kwargs["lap_x0"], laplacian_slices(u_curr, g))
+    assert kwargs.keys() == {"x0"} and kwargs["x0"] is u_curr
     assert np.array_equal(u_prev, before[0]) and np.array_equal(u_curr, before[1])
+
+
+# the integrations of the benchmark's mms-sweep-graded call, and its
+# wave-solve run at beta = pi: (problem, N, M, gamma, beta)
+BENCHMARK_RUNS = [
+    *((example1, 16, m, 0.75, beta) for beta in (math.sqrt(2), 2.0, math.pi)
+      for m in (20, 40, 80)),
+    (example2, 160, 80, 0.75, math.pi),
+]
+
+
+@pytest.mark.parametrize("example, n, m, gamma, beta", BENCHMARK_RUNS)
+def test_folded_operator_keeps_every_steps_iterations(example, n, m, gamma, beta,
+                                                      monkeypatch):
+    # CG's stencil weights sigma + 2 kappa (ax + ay), -kappa ax, -kappa ay
+    # round otherwise than sigma v - kappa (L v); on these runs that must
+    # change no step's iteration count, and the fields only at rounding level
+    p = example()
+    g = p.space_grid(n, n)
+    tg = graded_grid(p.T, m, gamma)
+    u, report = integrate(p, tg, g, beta)
+
+    def unfolded_cg(op, rhs, x0):
+        x, iterations, history = cg_allocating(op.sigma, op.kappa, op.grid, rhs, x0,
+                                               operator=unfolded_operator_slices)
+        return CGResult(x=x, iterations=iterations, residuals=history)
+
+    monkeypatch.setattr(stepper, "cg_solve", unfolded_cg)
+    u_ref, ref = integrate(p, tg, g, beta)
+    assert [s.cg_iters for s in report.steps] == [s.cg_iters for s in ref.steps]
+    assert np.abs(u - u_ref).max() <= 1e-12
 
 
 def test_integrations_share_a_start_only_for_the_same_problem_grid_and_interval(
