@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -21,6 +20,16 @@ from .coeffs import CoefficientError, nonuniform_coeffs, uniform_coeffs
 from .problems import PROBLEMS
 from .spatial import field_to_csv
 from .stepper import integrate
+
+# CPython's builtin SHA-256, as random.py takes its sha512: hashlib would
+# load OpenSSL, a few MB of memory for one 12-digit config hash
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _SYMBOLIC = {"sqrt2": math.sqrt(2.0), "pi": math.pi}
 
@@ -103,7 +112,7 @@ class RunConfig:
         return "\n".join(parts)
 
     def hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
+        return sha256(self.canonical().encode()).hexdigest()[:12]
 
 
 _PARSERS = {
@@ -250,7 +259,7 @@ def cmd_run(cfg: RunConfig) -> int:
         linf = analysis.linf_error(u, exact)
         l2 = analysis.l2_error(u, exact, sgrid)
         with open(out / "errors.csv", "w") as fh:
-            fh.write(f"# config={cfg.hash()}\n")
+            fh.write("".join(f"# {line}\n" for line in header))
             fh.write("Linf,L2\n")
             fh.write(f"{linf!r},{l2!r}\n")
         print(f"{cfg.example}: M={tgrid.M} N={cfg.nx}x{cfg.resolved_ny()} "
@@ -421,10 +430,12 @@ def main(argv=None) -> int:
             print(f"config error: {v}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        # a step whose weights cannot be formed has a bad beta or time grid
+        config = isinstance(exc.__cause__, CoefficientError)
+        print(f"{'config error' if config else 'error'}: {exc}", file=sys.stderr)
         if exc.__cause__ is not None:
             print(f"  cause: {exc.__cause__}", file=sys.stderr)
-        return 1
+        return 2 if config else 1
 
 
 if __name__ == "__main__":

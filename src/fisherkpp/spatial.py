@@ -249,13 +249,25 @@ def field_to_csv(u: np.ndarray, grid: SpaceGrid, path, header_lines=()) -> None:
     """Write (x, y, value) triples in column-major order (x fastest).
 
     Every number is written with ``repr``, so the file reads back exactly.
+    A field repeats many of its values bit for bit (a planar front along
+    its level lines), so each distinct bit pattern is formatted once, and
+    -0.0 keeps its own text.
     """
-    u = check_field(u, grid)
-    xs = [repr(x) for x in grid.xs.tolist()]
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x,y,value\n")
-        for y, row in zip(grid.ys.tolist(), u.reshape(grid.shape)):
-            y = repr(y)
-            fh.write("".join(f"{x},{y},{v!r}\n" for x, v in zip(xs, row.tolist())))
+    u = np.ascontiguousarray(check_field(u, grid))
+    keys, node_key = np.unique(u.view(np.int64), return_inverse=True)
+    values = keys.view(np.float64)
+    # a float's repr has at most 24 characters, "-2.2250738585072014e-308":
+    # one fixed-width array holds them, filled a thousand str at a time,
+    # since thousands of live str objects would take fresh memory
+    texts = np.empty(keys.size, dtype="S24")
+    for i in range(0, keys.size, 1024):
+        texts[i:i + 1024] = [repr(v) for v in values[i:i + 1024].tolist()]
+    # one row's lines: x baked in, NUL where y goes, %b for each value;
+    # a float's repr holds neither NUL nor %
+    row = b"".join(b"%s,\0,%%b\n" % repr(x).encode() for x in grid.xs.tolist())
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header_lines).encode())
+        fh.write(b"x,y,value\n")
+        for y, row_keys in zip(grid.ys.tolist(), node_key.reshape(grid.shape)):
+            fh.write(row.replace(b"\0", repr(y).encode())
+                     % tuple(texts[row_keys].tolist()))

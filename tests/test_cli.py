@@ -464,14 +464,27 @@ def test_run_on_steps_whose_right_hand_side_norm_overflows(tmp_path, t_final):
 
 def test_run_on_subnormal_steps_names_non_finite_weights(tmp_path, capsys):
     # the weights of a 2.5e-321 step overflow; integrate hands the step
-    # float nodes, so numpy warns of no overflow on the way
+    # float nodes, so numpy warns of no overflow on the way. Weights that
+    # cannot be formed are a config error, as in coeffs
     assert run_cli("run", "-M", "4", "--nx", "8", "--t-final", "1e-320",
-                   "-o", str(tmp_path / "out")) == 1
+                   "-o", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: step 2 (t=4.99994e-321) failed",
+        "config error: step 2 (t=4.99994e-321) failed",
         "  cause: node triple (0.0, 2.5e-321, 5e-321) gives non-finite weights: "
         "the step 2.49997e-321 is too small",
     ]
+
+
+def test_run_with_a_rejected_step_triple_is_a_config_error(tmp_path, capsys):
+    # the same CoefficientError that makes coeffs --beta 1000 exit 2
+    assert run_cli("run", "--example", "wave", "--nx", "16", "-M", "10",
+                   "--beta", "1000", "-o", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: step 2 (t=0.2) failed",
+        "  cause: near-degenerate node triple (0.0, 0.1, 0.2): "
+        "Vandermonde condition exceeds 1e+12",
+    ]
+    assert run_cli("coeffs", "--beta", "1000") == 2
 
 
 @pytest.mark.parametrize("line", ["solver = cg", "max_iter = 5",

@@ -1,6 +1,7 @@
 """Every name a package module imports is used there, and no run loads
 more of scipy than its sine transform, which loads with the first
-transform: a run that makes none loads no scipy at all.
+transform: a run that makes none loads no scipy at all. A run hashes its
+config without OpenSSL.
 
 The one exception is a name that ``perfbench/tracer.py`` wraps by its
 module-level binding (a target of ``LAYERS``): the traced benchmark
@@ -126,3 +127,21 @@ def test_no_run_loads_scipy_integrate_optimize_sparse_or_linalg(tmp_path, argv,
         assert loaded == []
     if starter is not None:
         assert f"# starter={starter} " in (out / "report.csv").read_text()
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="no builtin sha256 module in this interpreter")
+def test_run_loads_no_openssl(tmp_path):
+    # the config hash comes from CPython's builtin sha256, not hashlib
+    script = (
+        "import sys\n"
+        "from fisherkpp.cli import main\n"
+        "assert main(['run', '--example', 'wave', '--nx', '8', '-M', '4', "
+        f"'-o', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
 
+from fisherkpp.analysis import exact_final_field
 from fisherkpp.problems import example1, example2
 from fisherkpp.spatial import (
     SpaceGrid,
@@ -14,6 +15,8 @@ from fisherkpp.spatial import (
     from_sine,
     to_sine,
 )
+from fisherkpp.stepper import integrate
+from fisherkpp.timegrid import time_grid
 
 from oracles import (
     dense_laplacian,
@@ -312,12 +315,61 @@ def test_lifting_evaluates_bc_once_on_the_ring():
         ring.weight[0] = 0.0
 
 
+def assert_writes_as_per_node_writer(u, grid, tmp_path):
+    header = ["config=deadbeef", "second line"]
+    field_to_csv(u, grid, tmp_path / "new.csv", header_lines=header)
+    field_to_csv_per_node(u, grid, tmp_path / "old.csv", header_lines=header)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_field_csv_matches_per_node_writer(tmp_path):
     g = SpaceGrid(-1.0, 2.5, 0.0, 1.2, 160, 163)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(g.n_interior) * 10.0 ** rng.integers(-300, 300, g.n_interior)
     u[[0, 17, 4000, -1]] = [0.0, -0.0, 1e300, 5e-324]
-    header = ["config=deadbeef", "second line"]
-    field_to_csv(u, g, tmp_path / "new.csv", header_lines=header)
-    field_to_csv_per_node(u, g, tmp_path / "old.csv", header_lines=header)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert_writes_as_per_node_writer(u, g, tmp_path)
+
+
+def test_field_csv_of_the_exact_wave_field(tmp_path):
+    # the planar front repeats its values along x - y: about 1% distinct
+    problem = example2()
+    g = problem.space_grid(160, 160)
+    u = exact_final_field(problem, g, problem.T)
+    assert np.unique(u).size < 0.02 * u.size
+    assert_writes_as_per_node_writer(u, g, tmp_path)
+
+
+def test_field_csv_of_a_solved_wave_field(tmp_path):
+    problem = example2()
+    g = problem.space_grid(40, 40)
+    u, _ = integrate(problem, time_grid(problem.T, 10, 0.75), g, np.pi)
+    assert np.unique(u).size < 0.9 * u.size
+    assert_writes_as_per_node_writer(u, g, tmp_path)
+
+
+def test_field_csv_of_special_values(tmp_path):
+    g = SpaceGrid(0.0, 1.0, -2.0, 3.0, 7, 6)
+    nan_bits = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                         0x7FF0000000000001, 0xFFF00000DEADBEEF], dtype=np.uint64)
+    special = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+         -2.2250738585072014e-308, 1e300, -1e300, -1.2345678901234567e-100,
+         -0.00012345678901234568, 1e16, 0.1],
+        nan_bits.view(np.float64),
+    ])
+    u = np.resize(special, g.n_interior)
+    assert_writes_as_per_node_writer(u, g, tmp_path)
+    # -0.0 and 0.0 keep their own text; every NaN reads back as nan
+    values = [line.split(",")[2] for line in
+              (tmp_path / "new.csv").read_text().splitlines()[3:]]
+    assert values[:4] == ["0.0", "-0.0", "inf", "-inf"]
+    assert values[14:18] == ["nan"] * 4
+
+
+def test_field_csv_of_a_strided_view(tmp_path):
+    g = SpaceGrid(-1.0, 2.5, 0.0, 1.2, 24, 20)
+    rng = np.random.default_rng(11)
+    base = np.round(rng.standard_normal(2 * g.n_interior), 2)
+    u = base[::2]
+    assert not u.flags.c_contiguous
+    assert_writes_as_per_node_writer(u, g, tmp_path)
