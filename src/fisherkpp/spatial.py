@@ -216,7 +216,7 @@ def to_sine(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
     The ``scipy.fft`` DST ``type=1, norm="ortho"`` on both axes of the
     x-fastest field. It is orthonormal, and ``from_sine`` is its inverse.
     ``scipy.fft`` is imported here and in ``from_sine``, on the first
-    transform, not with the package: its import costs about 0.3 s, and a
+    transform, not with the package: its import costs about 0.27 s, and a
     run that starts with DP5(4) and solves with CG transforms nothing.
     """
     from scipy.fft import dstn

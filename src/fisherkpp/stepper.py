@@ -45,9 +45,9 @@ from .timegrid import TimeGrid
 # on a stiff interval, with RHS evaluations growing in proportion to the
 # stiffness, while the substeps ETDRK4 needs are set by the accuracy of
 # the forcing alone. Measured crossover (warm calls on one thread of a
-# 2-core x86-64 host, the manufactured problem at N = 32, 48, 64): at a
-# stiffness of 40, DP5(4) took 0.6-1.6x the time of ETDRK4; at 50,
-# 1.3-3.0x; at 200, 2.3-6.4x.
+# shared 2-core x86-64 host, the manufactured problem at N = 32, 48, 64,
+# two passes): at a stiffness of 40, DP5(4) took 0.44-1.27x the time of
+# ETDRK4; at 50, 0.95-2.5x; at 200, 1.9-4.9x.
 # On the wave problem at N = 160, ETDRK4 was 6x slower at every
 # stiffness from 5 to 20.
 ETD_STIFFNESS = 50.0
@@ -68,9 +68,11 @@ class StepRecord:
 class StarterRecord:
     """Which starter produced u^1 and the work it did.
 
-    ``nfev`` counts right-hand-side (DP5) or forcing (ETDRK4)
-    evaluations; ``substeps`` and ``estimate`` are the final substep
-    count and error estimate of ETDRK4 and stay None for DP5.
+    ``nfev`` counts right-hand-side evaluations (DP5) or stage
+    evaluations (ETDRK4), an ETDRK4 stage being one reaction evaluation
+    with an inverse and a forward sine transform; ``substeps`` and
+    ``estimate`` are the final substep count and error estimate of
+    ETDRK4 and stay None for DP5.
     """
 
     method: str
@@ -194,14 +196,6 @@ class InitializationError(RuntimeError):
     """The starter integration failed (step-size underflow or similar)."""
 
 
-def _add_reaction_source(problem: ProblemSpec, sgrid: SpaceGrid, t, u, out):
-    if problem.K != 0.0:
-        out += problem.K * f_eval(u, problem.nonlinearity)
-    if problem.source is not None:
-        out += eval_interior(problem.source, sgrid, t=t)
-    return out
-
-
 def mol_rhs(problem: ProblemSpec, sgrid: SpaceGrid):
     """Right-hand side of the method-of-lines system on interior nodes."""
 
@@ -210,19 +204,13 @@ def mol_rhs(problem: ProblemSpec, sgrid: SpaceGrid):
             apply_laplacian(u, sgrid)
             + boundary_contribution(problem.boundary, t, sgrid)
         )
-        return _add_reaction_source(problem, sgrid, t, u, out)
+        if problem.K != 0.0:
+            out += problem.K * f_eval(u, problem.nonlinearity)
+        if problem.source is not None:
+            out += eval_interior(problem.source, sgrid, t=t)
+        return out
 
     return rhs
-
-
-def mol_forcing(problem: ProblemSpec, sgrid: SpaceGrid):
-    """``mol_rhs`` without the interior Laplacian term D * L u."""
-
-    def forcing(t, u):
-        out = problem.D * boundary_contribution(problem.boundary, t, sgrid)
-        return _add_reaction_source(problem, sgrid, t, u, out)
-
-    return forcing
 
 
 def _check_interval(t0: float, t1: float) -> str:
@@ -285,25 +273,46 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
     """Advance u0 from t0 to t1 with ETDRK4 in the sine basis.
 
     The linear part D * L is diagonal in the type-I sine basis
-    (``sgrid.laplacian_eigenvalues``) and integrated exactly; the forcing
-    ``mol_forcing`` enters through the Cox-Matthews ETDRK4 stages. The
-    substep count doubles from 1 until the Richardson estimate
+    (``sgrid.laplacian_eigenvalues``) and integrated exactly; the rest of
+    the method-of-lines right-hand side enters through the Cox-Matthews
+    ETDRK4 stages. It splits into data that does not depend on u, D times
+    the Dirichlet lifting plus the source, sampled once per stage time
+    t0 + k h / 2, and the reaction, evaluated at each stage. The stage at
+    (t0, u0) is the same for every substep count and is evaluated once.
+
+    The substep count doubles from 1 until the Richardson estimate
     |v_n - v_{n/2}| / 15 of the fourth-order result is at most
     1e-9 * max(1, max|v_n|); the extrapolated v_n + (v_n - v_{n/2}) / 15
-    is returned.
+    is returned. After an estimate above target, the estimate is
+    predicted to fall by 2**4 per doubling, as a fourth-order one does:
+    the start jumps to the first count, at most ``ETD_MAX_SUBSTEPS``,
+    predicted to meet the target, marches half that count as the new
+    coarse result and doubles from there. The record's ``nfev`` counts
+    stage evaluations, each one reaction evaluation with an inverse and
+    a forward sine transform: the shared first stage, then 4n - 1 for
+    each count n marched.
 
     Raises
     ------
     InitializationError
-        When the forcing raises or the result is not finite (the cause is
-        chained), or when ``ETD_MAX_SUBSTEPS`` substeps miss the estimate.
+        When the data or the reaction raises or the result is not finite
+        (the cause is chained), or when ``ETD_MAX_SUBSTEPS`` substeps
+        miss the estimate.
     """
     failed = _check_interval(t0, t1)
-    forcing = mol_forcing(problem, sgrid)
     lam = problem.D * sgrid.laplacian_eigenvalues
 
-    def n_hat(t, v):
-        return to_sine(forcing(t, from_sine(v, sgrid)), sgrid)
+    def data(t):
+        out = problem.D * boundary_contribution(problem.boundary, t, sgrid)
+        if problem.source is not None:
+            out += eval_interior(problem.source, sgrid, t=t)
+        return out
+
+    def n_hat(g, v):
+        """Sine coefficients of the data g plus the reaction at v."""
+        if problem.K != 0.0:
+            g = g + problem.K * f_eval(from_sine(v, sgrid), problem.nonlinearity)
+        return to_sine(g, sgrid)
 
     v0 = to_sine(np.asarray(u0, dtype=float), sgrid)
 
@@ -323,35 +332,55 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
         f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
         f2 = h * 2.0 * (p2 - 2.0 * p3)
         f3 = h * (4.0 * p3 - p2)
-        v = v0
+        v, nv = v0, nv0
         for m in range(n):
-            t = t0 + m * h
-            nv = n_hat(t, v)
-            a = e2 * v + q * nv
-            na = n_hat(t + h / 2, a)
-            b = e2 * v + q * na
-            nb = n_hat(t + h / 2, b)
+            # t + h / 2 serves stages 2 and 3, t + h stage 4 and the next
+            # substep's stage 1
+            g_mid = data(t0 + (2 * m + 1) * h / 2)
+            g_end = data(t0 + (2 * m + 2) * h / 2)
+            if m:
+                nv = n_hat(g_start, v)
+            e2v = e2 * v
+            a = e2v + q * nv
+            na = n_hat(g_mid, a)
+            b = e2v + q * na
+            nb = n_hat(g_mid, b)
             c = e2 * a + q * (2.0 * nb - nv)
-            nc = n_hat(t + h, c)
+            nc = n_hat(g_end, c)
             v = e * v + f1 * nv + f2 * (na + nb) + f3 * nc
+            g_start = g_end
         u = from_sine(v, sgrid)
         if not np.isfinite(u).all():
             raise FloatingPointError(f"the field is not finite after {n} substeps")
         return u, half
 
-    n, nfev = 1, 4
+    n, levels = 1, [1]
     try:
+        nv0 = n_hat(data(t0), v0)
         coarse, full = march(n, tables((t1 - t0) * lam))
         while n < ETD_MAX_SUBSTEPS:
             n *= 2
-            nfev += 4 * n
+            levels.append(n)
             fine, full = march(n, full)
             delta = (fine - coarse) / 15.0
             estimate = float(np.abs(delta).max())
-            if estimate <= 1e-9 * max(1.0, float(np.abs(fine).max())):
+            target = 1e-9 * max(1.0, float(np.abs(fine).max()))
+            if estimate <= target:
+                nfev = 1 + sum(4 * k - 1 for k in levels)
                 return fine + delta, StarterRecord(
                     "etdrk4", nfev=nfev, substeps=n, estimate=estimate)
             coarse = fine
+            # the first count, at most the cap, predicted to meet the
+            # target: a fourth-order estimate falls by r**4 when the count
+            # grows r-fold, 2**4 per doubling
+            level = 2 * n
+            while (2 * level <= ETD_MAX_SUBSTEPS
+                   and estimate > target * (level // n) ** 4):
+                level *= 2
+            if level > 2 * n:
+                n = level // 2
+                levels.append(n)
+                coarse, full = march(n, tables((t1 - t0) / n * lam))
     except Exception as exc:
         raise InitializationError(failed) from exc
     raise InitializationError(

@@ -15,6 +15,7 @@ from fisherkpp.problems import (
     ProblemSpec,
     example1,
     example2,
+    f_eval,
 )
 from fisherkpp.spatial import eval_interior
 from fisherkpp.stepper import (
@@ -32,6 +33,7 @@ from fisherkpp.analysis import exact_final_field, linf_error
 
 from oracles import (
     cg_allocating,
+    etdrk4_fixed,
     rk45,
     step_rhs_allocating,
     unfolded_operator_slices,
@@ -212,8 +214,38 @@ def test_phi_functions_mixed_array_matches_single_values():
             assert mixed[k][i] == single[k][0]
 
 
-@pytest.mark.parametrize("case", ["manufactured-48", "wave-24x20"])
-def test_etd_init_matches_dp5_oracle(case):
+def etd_levels(monkeypatch, problem, g, t0, t1, u0):
+    """etd_init's result, its record and the substep counts it marched,
+    read off the times at which it samples the Dirichlet lifting: t0
+    once, then t0 + k h / 2 for k = 1 .. 2n at each count n."""
+    times = []
+
+    def recording(bc, t, grid):
+        times.append(t)
+        return spatial.boundary_contribution(bc, t, grid)
+
+    monkeypatch.setattr(stepper, "boundary_contribution", recording)
+    u, rec = etd_init(problem, g, t0, t1, u0)
+    assert times[0] == t0
+    levels, count = [], 0
+    for t, t_next in zip(times[1:], [*times[2:], -math.inf]):
+        count += 1
+        if t_next < t:
+            levels.append(count // 2)
+            count = 0
+    return u, rec, levels
+
+
+def stage_count(levels):
+    # the shared first stage, then 4n - 1 more at each count n
+    return 1 + sum(4 * n - 1 for n in levels)
+
+
+@pytest.mark.parametrize("case, levels", [
+    ("manufactured-48", [1, 2, 8, 16]),
+    ("wave-24x20", [1, 2, 4, 8]),
+], ids=["manufactured-48", "wave-24x20"])
+def test_etd_init_matches_dp5_oracle(monkeypatch, case, levels):
     # the wave case has time-dependent Dirichlet data and hx != hy
     if case == "manufactured-48":
         p = example1()
@@ -222,11 +254,72 @@ def test_etd_init_matches_dp5_oracle(case):
         p = example2()
         g, t0, t1 = p.space_grid(24, 20), 0.3, 0.55
     u0 = eval_interior(p.exact, g, t=t0)
-    u_etd, rec = etd_init(p, g, t0, t1, u0)
+    u_etd, rec, marched = etd_levels(monkeypatch, p, g, t0, t1, u0)
     u_dp5, _ = rk_init(p, g, t0, t1, u0, rtol=1e-13, atol=1e-13)
     assert np.abs(u_etd - u_dp5).max() <= 1e-10
     assert rec.method == "etdrk4" and rec.estimate <= 1e-9
-    assert rec.nfev == 4 * (2 * rec.substeps - 1)
+    assert marched == levels and rec.substeps == levels[-1]
+    assert rec.nfev == stage_count(levels)
+
+
+def test_etd_init_samples_data_once_per_stage_time(monkeypatch):
+    # the mms-starter interval: the estimate at 2 substeps, 5.8e-7, is
+    # predicted to fall under 1e-9 at 16, so 4 is skipped
+    p = example1()
+    g, t0, t1 = p.space_grid(48, 48), 0.0, 1.0 / 6.0
+    seen = {"lifting": [], "source": [], "reaction": []}
+
+    def lifting(bc, t, grid):
+        seen["lifting"].append(t)
+        return spatial.boundary_contribution(bc, t, grid)
+
+    def source(fn, grid, t=None):
+        seen["source"].append(t)
+        return eval_interior(fn, grid, t=t)
+
+    def reaction(u, nonlinearity):
+        seen["reaction"].append(u.copy())
+        return f_eval(u, nonlinearity)
+
+    monkeypatch.setattr(stepper, "boundary_contribution", lifting)
+    monkeypatch.setattr(stepper, "eval_interior", source)
+    monkeypatch.setattr(stepper, "f_eval", reaction)
+    u0 = np.zeros(g.n_interior)
+    u, rec = etd_init(p, g, t0, t1, u0)
+    levels = [1, 2, 8, 16]
+    times = [t0] + [t0 + k * ((t1 - t0) / n) / 2
+                    for n in levels for k in range(1, 2 * n + 1)]
+    assert seen["lifting"] == times and seen["source"] == times
+    assert rec.substeps == 16
+    assert rec.nfev == len(seen["reaction"]) == stage_count(levels)
+    # the stage at (t0, u0) is evaluated once, not once per substep count
+    first = seen["reaction"][0]
+    assert sum(np.array_equal(v, first) for v in seen["reaction"]) == 1
+    # the extrapolation of the plain scheme at the last two counts
+    u8, u16 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (8, 16))
+    assert np.abs(u - (u16 + (u16 - u8) / 15.0)).max() <= 1e-14
+
+
+def test_etd_init_doubles_when_the_estimate_falls_slower_than_fourth_order(monkeypatch):
+    # a kink in time at t = 0.1 makes ETDRK4 second order: the estimates
+    # fall by about 4 a doubling, so the count predicted from the estimate
+    # at 2 substeps misses the target and the start doubles on from there
+    base = example1()
+
+    def kinked(x, y, t):
+        return base.source(x, y, t) + 0.003 * abs(t - 0.1) * np.sin(x) * np.sin(y)
+
+    p = ProblemSpec(**{**base.__dict__, "source": kinked})
+    g, t0, t1 = p.space_grid(32, 32), 0.0, 1.0 / 6.0
+    u0 = np.zeros(g.n_interior)
+    u, rec, levels = etd_levels(monkeypatch, p, g, t0, t1, u0)
+    assert levels == [1, 2, 8, 16, 32]
+    u8, u16, u32 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (8, 16, 32))
+    est16, est32 = (float(np.abs(fine - coarse).max()) / 15.0
+                    for coarse, fine in ((u8, u16), (u16, u32)))
+    assert est16 > 1e-9 and est32 > est16 / 2**4
+    assert rec.estimate == pytest.approx(est32, rel=1e-6) and rec.estimate <= 1e-9
+    assert np.abs(u - (u32 + (u32 - u16) / 15.0)).max() <= 1e-14
 
 
 def test_etd_init_computes_each_phi_table_once(monkeypatch):
@@ -306,6 +399,24 @@ def test_etd_starter_reports_estimate_when_substeps_run_out(monkeypatch):
                        match=r"failed on \[0.0, 0.5\]: ETDRK4 error estimate "
                              r"\S+ still above target after 2 substeps"):
         etd_init(p, g, 0.0, 0.5, np.zeros(g.n_interior))
+
+
+def test_etd_starter_reports_the_measured_estimate_when_the_jump_is_capped(monkeypatch):
+    # the estimate at 2 substeps predicts 16, past a cap of 8: the start
+    # marches 4 and 8 and reports the estimate it measured at 8, not the
+    # one predicted there
+    monkeypatch.setattr(stepper, "ETD_MAX_SUBSTEPS", 8)
+    p = example1()
+    g, t0, t1 = p.space_grid(48, 48), 0.0, 1.0 / 6.0
+    u0 = np.zeros(g.n_interior)
+    u1, u2, u4, u8 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (1, 2, 4, 8))
+    measured = float(np.abs(u8 - u4).max()) / 15.0
+    predicted = float(np.abs(u2 - u1).max()) / 15.0 / (2**4) ** 2
+    assert f"{measured:.3e}" != f"{predicted:.3e}" and measured > 1e-9
+    with pytest.raises(InitializationError,
+                       match=rf"ETDRK4 error estimate {measured:.3e} still above "
+                             r"target after 8 substeps"):
+        etd_init(p, g, t0, t1, u0)
 
 
 # ------------------------------------------------------------ bdf_imex_step
