@@ -343,7 +343,7 @@ def cmd_coeffs(args) -> int:
         if len(nodes) != 3:
             raise ConfigError(["--nodes needs exactly three times t0,t1,t2"])
         cf = nonuniform_coeffs(*nodes, args.beta)
-        kind = "vandermonde"
+        kind = "nodes"
     lines = ["coefficient,value", f"kind,{kind}", f"beta,{args.beta!r}"]
     for name, val in (("a0", cf.a[0]), ("a1", cf.a[1]), ("a2", cf.a[2]),
                       ("b0", cf.b[0]), ("b1", cf.b[1]),

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# largest admitted ``vandermonde_condition`` of a node triple
-COND_LIMIT = 1e12
+# largest admitted amplification |c0| + |c1| = 1 + 2 beta / rho of the
+# extrapolation weights
+AMPLIFICATION_LIMIT = 1e11
 
 
 class CoefficientError(ValueError):
@@ -58,51 +59,6 @@ def uniform_coeffs(beta: float) -> StepCoefficients:
     return nonuniform_coeffs(-1.0, 0.0, 1.0, beta)
 
 
-def _check_nodes(t_prev: float, t_curr: float, t_next: float, beta: float) -> float:
-    """The step ratio rho of an admissible triple."""
-    if beta <= 1.0:
-        raise CoefficientError(f"shift parameter must exceed 1, got beta={beta}")
-    if not (t_prev < t_curr < t_next):
-        raise CoefficientError(
-            f"nodes must be strictly increasing, got ({t_prev}, {t_curr}, {t_next})"
-        )
-    return (t_curr - t_prev) / (t_next - t_curr)
-
-
-def vandermonde_condition(t_prev: float, t_curr: float, t_next: float,
-                          beta: float) -> float:
-    """1-norm condition number of the 3x3 offset Vandermonde matrix,
-    ||V||_1 * ||V^-1||_1 in closed form.
-
-    The offsets from t* are measured in units of the step t_next - t_curr,
-    so the value depends only on the step ratio: shifting or scaling all
-    three nodes leaves it unchanged. A ratio that under- or overflows
-    gives inf.
-    """
-    return _condition(_check_nodes(t_prev, t_curr, t_next, beta), beta)
-
-
-def _condition(rho: float, beta: float) -> float:
-    """``vandermonde_condition`` of a triple with step ratio rho."""
-    if not 0.0 < rho < math.inf:
-        return math.inf
-    d = (-(rho + beta), -beta, 1.0 - beta)
-    # V has columns (1, d_j, d_j^2). Row j of V^-1 holds the monomial
-    # coefficients of the Lagrange basis polynomial
-    #   l_j(x) = (x - d_a)(x - d_b) / w_j,  w_j = (d_j - d_a)(d_j - d_b),
-    # that is (d_a d_b, -(d_a + d_b), 1) / w_j; |w_j| comes from rho, not
-    # from differences of rounded offsets.
-    w = (rho * (rho + 1.0), rho, rho + 1.0)
-    norm_v = max(1.0 + abs(dj) + dj * dj for dj in d)
-    inv_cols = [0.0, 0.0, 0.0]
-    for j in range(3):
-        da, db = d[j - 1], d[j - 2]
-        inv_cols[0] += abs(da * db) / w[j]
-        inv_cols[1] += abs(da + db) / w[j]
-        inv_cols[2] += 1.0 / w[j]
-    return norm_v * max(inv_cols)
-
-
 def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float,
                       beta: float) -> StepCoefficients:
     """Weights for one step over the node triple (t_prev, t_curr, t_next),
@@ -115,18 +71,26 @@ def nonuniform_coeffs(t_prev: float, t_curr: float, t_next: float,
     Raises
     ------
     CoefficientError
-        For non-monotone nodes, beta <= 1, a triple whose
-        ``vandermonde_condition`` exceeds ``COND_LIMIT``, a step so
-        small that the ``a`` weights are not finite, or nodes so large
-        that t* is not finite.
+        For non-monotone nodes, beta <= 1 or NaN, a step ratio so small
+        that the amplification 1 + 2 beta / rho of the ``c`` weights
+        exceeds ``AMPLIFICATION_LIMIT``, a step so small that the ``a``
+        weights are not finite, or nodes so large that t* is not finite.
     """
-    rho = _check_nodes(t_prev, t_curr, t_next, beta)
-    if not _condition(rho, beta) <= COND_LIMIT:
+    if not beta > 1.0:
+        raise CoefficientError(f"shift parameter must exceed 1, got beta={beta}")
+    if not (t_prev < t_curr < t_next):
         raise CoefficientError(
-            f"near-degenerate node triple ({t_prev}, {t_curr}, {t_next}): "
-            f"Vandermonde condition exceeds {COND_LIMIT:g}"
+            f"nodes must be strictly increasing, got ({t_prev}, {t_curr}, {t_next})"
         )
     tau = t_next - t_curr
+    rho = (t_curr - t_prev) / tau
+    # no division by rho: a ratio that underflows to 0 is rejected here
+    if not 2.0 * beta <= (AMPLIFICATION_LIMIT - 1.0) * rho:
+        raise CoefficientError(
+            f"node triple ({t_prev}, {t_curr}, {t_next}) has step ratio "
+            f"rho = {rho:g}: the extrapolation weights amplify by "
+            f"1 + 2 beta / rho > {AMPLIFICATION_LIMIT:g}"
+        )
     a = ((2.0 * beta - 1.0) / (rho * (rho + 1.0)) / tau,
          -(rho + 2.0 * beta - 1.0) / rho / tau,
          (rho + 2.0 * beta) / (rho + 1.0) / tau)

@@ -383,9 +383,9 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
     assert float(values["a2"]) == 2.5
     assert float(values["b0"]) == -1.0
     assert run_cli("coeffs", "--beta", "2", "--nodes", "0,0.5,1") == 0
-    # frozen output of the Vandermonde route
+    # frozen output of the closed form over the given nodes
     assert capsys.readouterr().out.splitlines() == [
-        "coefficient,value", "kind,vandermonde", "beta,2.0",
+        "coefficient,value", "kind,nodes", "beta,2.0",
         "a0,3.0", "a1,-8.0", "a2,5.0", "b0,-1.0", "b1,2.0",
         "c0,-2.0", "c1,3.0", "t_eval,1.5",
     ]
@@ -408,16 +408,20 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
      "nodes must be strictly increasing, got (0.0, 0.0, 1.0)"),
     (("run", "-M", "80", "--gamma", "40", "--nx", "4"),
      "nodes must be strictly increasing (M=80, gamma=40.0)"),
-    # extreme step ratios, down to one that underflows to 0 or overflows
+    # small step ratios, down to one that underflows to 0
+    (("coeffs", "--beta", "2", "--nodes", "0,1e-14,1"),
+     "node triple (0.0, 1e-14, 1.0) has step ratio rho = 1e-14: the "
+     "extrapolation weights amplify by 1 + 2 beta / rho > 1e+11"),
     (("coeffs", "--beta", "2", "--nodes", "0,1e-300,1"),
-     "near-degenerate node triple (0.0, 1e-300, 1.0): "
-     "Vandermonde condition exceeds 1e+12"),
+     "node triple (0.0, 1e-300, 1.0) has step ratio rho = 1e-300: the "
+     "extrapolation weights amplify by 1 + 2 beta / rho > 1e+11"),
     (("coeffs", "--beta", "2", "--nodes", "0,5e-324,1e10"),
-     "near-degenerate node triple (0.0, 5e-324, 10000000000.0): "
-     "Vandermonde condition exceeds 1e+12"),
+     "node triple (0.0, 5e-324, 10000000000.0) has step ratio rho = 0: the "
+     "extrapolation weights amplify by 1 + 2 beta / rho > 1e+11"),
+    # a ratio that overflows to inf passes the guard; its a weights do not
     (("coeffs", "--beta", "2", "--nodes=-1e300,0,5e-324"),
-     "near-degenerate node triple (-1e+300, 0.0, 5e-324): "
-     "Vandermonde condition exceeds 1e+12"),
+     "node triple (-1e+300, 0.0, 5e-324) gives non-finite weights: "
+     "the step 4.94066e-324 is too small"),
     # a subnormal step, whose 1/tau overflows
     (("coeffs", "--beta", "2", "--nodes", "0,1e-321,2e-321"),
      "node triple (0.0, 1e-321, 2e-321) gives non-finite weights: "
@@ -429,8 +433,9 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
 ], ids=["nan,0.5,1-'nan' is not a finite number",
         "0,x,1-could not convert string to float: 'x'",
         "run_m", "run_beta", "grid_m", "grid_t", "grid_gamma", "coeffs_beta",
-        "coeffs_nodes", "run_nodes", "ratio_1e-300", "ratio_underflow",
-        "ratio_overflow", "subnormal_step", "shifted_time_overflow"])
+        "coeffs_nodes", "run_nodes", "ratio_1e-14", "ratio_1e-300",
+        "ratio_underflow", "ratio_overflow", "subnormal_step",
+        "shifted_time_overflow"])
 def test_cmd_coeffs_bad_node_is_config_error(tmp_path, argv, violation, capsys):
     out = tmp_path / "out"
     assert run_cli(*argv, "-o", str(out)) == 2
@@ -476,15 +481,27 @@ def test_run_on_subnormal_steps_names_non_finite_weights(tmp_path, capsys):
 
 
 def test_run_with_a_rejected_step_triple_is_a_config_error(tmp_path, capsys):
-    # the same CoefficientError that makes coeffs --beta 1000 exit 2
+    # at beta = 1e11 even a uniform triple amplifies the extrapolation by
+    # 2e11; the same CoefficientError makes coeffs exit 2
     assert run_cli("run", "--example", "wave", "--nx", "16", "-M", "10",
-                   "--beta", "1000", "-o", str(tmp_path / "out")) == 2
+                   "--beta", "1e11", "-o", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.splitlines() == [
         "config error: step 2 (t=0.2) failed",
-        "  cause: near-degenerate node triple (0.0, 0.1, 0.2): "
-        "Vandermonde condition exceeds 1e+12",
+        "  cause: node triple (0.0, 0.1, 0.2) has step ratio rho = 1: the "
+        "extrapolation weights amplify by 1 + 2 beta / rho > 1e+11",
     ]
-    assert run_cli("coeffs", "--beta", "1000") == 2
+    assert run_cli("coeffs", "--beta", "1e11") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--beta", "1000"),
+    ("coeffs", "--beta", "2", "--nodes", "0,1,1.000001"),
+    ("run", "--example", "wave", "--nx", "16", "-M", "100", "--beta", "1000"),
+], ids=["coeffs_beta_1000", "coeffs_ratio_1e6", "run_beta_1000"])
+def test_large_beta_and_shrinking_step_are_admitted(tmp_path, argv):
+    # a uniform triple at beta = 1000 amplifies the extrapolation by 2001,
+    # a step that shrinks by 1e6 by 1 + 4e-6
+    assert run_cli(*argv, "-o", str(tmp_path / "out")) == 0
 
 
 @pytest.mark.parametrize("line", ["solver = cg", "max_iter = 5",

@@ -1,19 +1,14 @@
 import math
+from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 
 from fisherkpp import coeffs
-from fisherkpp.coeffs import (
-    CoefficientError,
-    nonuniform_coeffs,
-    uniform_coeffs,
-    vandermonde_condition,
-)
+from fisherkpp.coeffs import CoefficientError, nonuniform_coeffs, uniform_coeffs
 from fisherkpp.problems import example1
 from fisherkpp.stepper import integrate
-from fisherkpp.timegrid import graded_grid
+from fisherkpp.timegrid import graded_grid, uniform_grid
 
 from oracles import lagrange_coeffs
 
@@ -53,9 +48,11 @@ def test_uniform_beta2_matches_hand_solution():
     assert cf.t_eval == 2.0
 
 
-@pytest.mark.parametrize("beta", [1.0 + 1e-9, math.sqrt(2), 2.0, math.pi, 7.5])
+@pytest.mark.parametrize("beta", [1.0 + 1e-9, math.sqrt(2), 2.0, math.pi, 7.5,
+                                  1000.0])
 def test_uniform_closed_forms(beta):
-    # b = (1-beta, beta) and c = (-beta, 1+beta) follow from the 2x2 systems
+    # b = (1-beta, beta) and c = (-beta, 1+beta) follow from the 2x2 systems;
+    # at beta = 1000 the extrapolation amplifies by 1 + 2 beta = 2001
     cf = uniform_coeffs(beta)
     np.testing.assert_allclose(cf.b, (1.0 - beta, beta), rtol=1e-14)
     np.testing.assert_allclose(cf.c, (-beta, 1.0 + beta), rtol=1e-14)
@@ -216,86 +213,64 @@ def test_nonuniform_rejects_bad_nodes():
 
 
 def test_nonuniform_rejects_near_degenerate_triple(monkeypatch):
-    # a microscopically thin middle interval blows up the condition number
-    assert vandermonde_condition(0.0, 1e-14, 1.0, 2.0) > 1e12
-    with pytest.raises(CoefficientError):
+    # a middle interval of 1e-14: c = (-2e14, 1 + 2e14) amplifies by 4e14
+    with pytest.raises(CoefficientError, match=r"rho = 1e-14: .* > 1e\+11$"):
         nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0)
+    # a ratio that underflows to 0 is rejected without a division by it
+    with pytest.raises(CoefficientError, match="rho = 0: "):
+        nonuniform_coeffs(0.0, 5e-324, 1e10, 2.0)
     # the guard reads the module's limit
-    monkeypatch.setattr(coeffs, "COND_LIMIT", 1e40)
-    nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0)
+    monkeypatch.setattr(coeffs, "AMPLIFICATION_LIMIT", 1e15)
+    cf = nonuniform_coeffs(0.0, 1e-14, 1.0, 2.0)
+    assert abs(cf.c[0]) + abs(cf.c[1]) == pytest.approx(4e14, rel=1e-12)
 
 
-def offset_vandermonde(nodes, beta):
-    t_prev, t_curr, t_next = nodes
-    d = (np.array(nodes) - (t_curr + beta * (t_next - t_curr))) / (t_next - t_curr)
-    return np.vstack([np.ones(3), d, d * d])
-
-
-def test_closed_form_condition_matches_numpy():
-    rng = np.random.default_rng(23)
-    triples = [tuple(np.sort(rng.uniform(-5.0, 5.0, 3))) for _ in range(200)]
-    # near-degenerate, but still where numpy's inverse keeps ten digits
-    triples += [(0.0, 1e-2, 1.0), (0.0, 1e-4, 1.0), (0.0, 0.99, 1.0),
-                (0.0, 1.0 - 1e-6, 1.0), (0.0, 1.0, 1.0 + 1e-6)]
-    for nodes in triples:
-        beta = float(rng.uniform(1.01, 4.0))
-        want = np.linalg.cond(offset_vandermonde(nodes, beta), 1)
-        assert vandermonde_condition(*nodes, beta) == pytest.approx(want, rel=1e-10)
-
-
-@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-14])
-def test_closed_form_condition_exact_where_numpy_loses_digits(gap):
-    # numpy's inverse is off by about cond * eps here; the reference is a
-    # 50-digit inverse built from the exact step ratio of the float nodes
-    with mp.workdps(50):
-        rho = mp.mpf(gap) / (1 - mp.mpf(gap))
-        dm = [-(rho + 2), mp.mpf(-2), mp.mpf(-1)]
-        vm = mp.matrix([[1, 1, 1], dm, [x * x for x in dm]])
-        norm1 = lambda m: max(sum(abs(m[i, j]) for i in range(3)) for j in range(3))
-        want = float(norm1(vm) * norm1(vm**-1))
-    assert vandermonde_condition(0.0, gap, 1.0, 2.0) == pytest.approx(want, rel=1e-14)
+def test_nan_beta_is_a_shift_parameter_error():
+    with pytest.raises(CoefficientError,
+                       match="^shift parameter must exceed 1, got beta=nan$"):
+        nonuniform_coeffs(0.0, 1.0, 2.0, math.nan)
+    p = example1()
+    with pytest.raises(RuntimeError, match="step 2") as info:
+        integrate(p, uniform_grid(1.0, 4), p.space_grid(4, 4), math.nan)
+    assert str(info.value.__cause__) == "shift parameter must exceed 1, got beta=nan"
 
 
 @pytest.mark.parametrize("nodes, admitted", [
-    ((0.0, 1.0, 2.0), True),
-    ((0.0, 0.3, 1.0), True),
-    ((0.0, 1e-3, 1.0), True),     # condition 4.2e4
-    ((0.0, 1.0, 1.001), False),   # condition 3.0e6
+    ((0.0, 1.0, 2.0), True),        # amplification 5
+    ((0.0, 0.3, 1.0), True),        # 10.3
+    ((0.0, 1e-3, 1.0), True),       # 4.0e3
+    ((0.0, 1e-12, 1.0), False),     # 4.0e12
+    ((0.0, 1.0, 1.000001), True),   # 1 + 4e-6 at rho = 1e6
 ])
-def test_guard_verdict_invariant_to_shift_and_scale(nodes, admitted, monkeypatch):
+def test_guard_verdict_invariant_to_shift_and_scale(nodes, admitted):
     # the guard reads the shape of the triple, not its time scale
-    monkeypatch.setattr(coeffs, "COND_LIMIT", 1e6)
     for s in (1e-8, 1.0, 1e8):
-        triple = [5.0 + s * t for t in nodes]
+        triple = [s * (5.0 + t) for t in nodes]
         if admitted:
             nonuniform_coeffs(*triple, 2.0)
         else:
-            with pytest.raises(CoefficientError, match="near-degenerate"):
+            with pytest.raises(CoefficientError, match="amplify"):
                 nonuniform_coeffs(*triple, 2.0)
 
 
-@pytest.mark.parametrize("nodes, beta", [((0.0, 0.3, 1.0), math.sqrt(2)),
-                                         ((0.0, 1.0, 1.001), 2.0),
-                                         ((0.5, 0.6, 0.7), math.pi)])
-def test_nonuniform_checks_its_triple_once_and_guards_its_condition(
-        nodes, beta, monkeypatch):
-    checks, check = [], coeffs._check_nodes
-
-    def counting(*args):
-        checks.append(args)
-        return check(*args)
-
-    monkeypatch.setattr(coeffs, "_check_nodes", counting)
+@pytest.mark.parametrize("nodes, beta", [((0.0, 0.25, 1.25), math.sqrt(2)),
+                                         ((0.0, 1.0, 1.0009765625), 2.0),
+                                         ((0.5, 1.0, 1.25), math.pi)])
+def test_guard_compares_the_amplification_itself(nodes, beta, monkeypatch):
+    # rho is a power of two, so (limit - 1) * rho is exact and the guard
+    # admits exactly the limits at or above 1 + 2 beta / rho: that value
+    # rounded up admits the triple, a limit one ulp below it rejects it
+    t_prev, t_curr, t_next = nodes
+    rho = Fraction(t_curr - t_prev) / Fraction(t_next - t_curr)
+    assert math.log2(rho).is_integer()
+    amp = 1 + 2 * Fraction(beta) / rho
+    limit = float(amp)
+    if Fraction(limit) < amp:
+        limit = math.nextafter(limit, math.inf)
+    monkeypatch.setattr(coeffs, "AMPLIFICATION_LIMIT", limit)
     nonuniform_coeffs(*nodes, beta)
-    assert checks == [(*nodes, beta)]
-    # the guard compares vandermonde_condition itself: a limit one ulp
-    # below it rejects the triple, the value itself admits it
-    monkeypatch.setattr(coeffs, "_check_nodes", check)
-    cond = vandermonde_condition(*nodes, beta)
-    monkeypatch.setattr(coeffs, "COND_LIMIT", cond)
-    nonuniform_coeffs(*nodes, beta)
-    monkeypatch.setattr(coeffs, "COND_LIMIT", math.nextafter(cond, 0.0))
-    with pytest.raises(CoefficientError, match="near-degenerate"):
+    monkeypatch.setattr(coeffs, "AMPLIFICATION_LIMIT", math.nextafter(limit, 0.0))
+    with pytest.raises(CoefficientError, match="amplify"):
         nonuniform_coeffs(*nodes, beta)
 
 

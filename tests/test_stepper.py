@@ -696,7 +696,8 @@ def test_integrate_reports_failing_step(monkeypatch):
 
 
 def test_integrate_names_step_of_bad_coefficients():
-    # (0, 1e-14, 0.5) is a near-degenerate triple for the step to t = 0.5
+    # the triple (0, 1e-14, 0.5) of the step to t = 0.5 amplifies the
+    # extrapolation by 2e14
     p = example1()
     g = p.space_grid(6, 6)
     tg = TimeGrid(T=1.0, M=3, nodes=np.array([0.0, 1e-14, 0.5, 1.0]))
