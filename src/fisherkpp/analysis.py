@@ -9,7 +9,6 @@ observed orders log2(err_coarse / err_fine) between adjacent rows.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,18 +141,15 @@ def _sweep(problem, beta, gamma, axis, params, grids, starts, **meta):
 
 def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
                    ny: int | None = None, gamma: float | None = None,
-                   starts: dict | None = None,
-                   space_grid: Callable[[int, int], SpaceGrid] | None = None
-                   ) -> ConvergenceTable:
+                   starts: dict | None = None) -> ConvergenceTable:
     """Refine the step count M at fixed spatial resolution.
 
     ``starts`` lets sweeps over several betas share their start levels
-    (see ``integrate``), and ``space_grid(nx, ny)``, which defaults to
-    ``problem.space_grid``, their space grids when it caches them.
+    (see ``integrate``).
     """
     m_values = _check_doubling(m_values, "M")
     ny = nx if ny is None else ny
-    sgrid = (space_grid or problem.space_grid)(nx, ny)
+    sgrid = problem.space_grid(nx, ny)
     return _sweep(problem, beta, gamma, "temporal", m_values,
                   lambda m: (time_grid(problem.T, m, gamma), sgrid), starts,
                   nx=nx, ny=ny)
@@ -161,16 +157,13 @@ def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
 
 def spatial_sweep(problem: ProblemSpec, beta: float, n_values, m_steps: int,
                   gamma: float | None = None,
-                  starts: dict | None = None,
-                  space_grid: Callable[[int, int], SpaceGrid] | None = None
-                  ) -> ConvergenceTable:
+                  starts: dict | None = None) -> ConvergenceTable:
     """Refine the spatial resolution N = Nx = Ny at fixed step count M.
 
     M must be large enough that the temporal error is subdominant.
-    ``starts`` and ``space_grid`` are as in ``temporal_sweep``.
+    ``starts`` is as in ``temporal_sweep``.
     """
     n_values = _check_doubling(n_values, "N")
     tgrid = time_grid(problem.T, m_steps, gamma)
-    space_grid = space_grid or problem.space_grid
     return _sweep(problem, beta, gamma, "spatial", n_values,
-                  lambda n: (tgrid, space_grid(n, n)), starts, m=m_steps)
+                  lambda n: (tgrid, problem.space_grid(n, n)), starts, m=m_steps)

@@ -9,7 +9,6 @@ inputs. Subcommands: run, convergence, grid, coeffs.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -299,21 +298,19 @@ def cmd_convergence(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     header = [f"config={cfg.hash()}"]
     # u^1 does not depend on beta: every beta marches from one start per
-    # grid, and every beta and time grid share one space grid per size
+    # grid, matched by the grids' values, not their identity
     starts = {}
-    space_grid = functools.cache(problem.space_grid)
-
     for beta in betas:
         for gamma in grids:
             if cfg.sweep_m is not None:
                 table = analysis.temporal_sweep(
                     problem, beta, cfg.sweep_m, cfg.nx, cfg.resolved_ny(),
-                    gamma=gamma, starts=starts, space_grid=space_grid,
+                    gamma=gamma, starts=starts,
                 )
             else:
                 table = analysis.spatial_sweep(
                     problem, beta, cfg.sweep_n, cfg.m,
-                    gamma=gamma, starts=starts, space_grid=space_grid,
+                    gamma=gamma, starts=starts,
                 )
             stem = f"{table.axis}_beta{_beta_label(beta)}_{_grid_label(gamma)}"
             table.write_csv(out / f"{stem}.csv", header_lines=header)

@@ -27,8 +27,9 @@ class SpaceGrid:
     ny: int
 
     def __post_init__(self):
-        if self.xb <= self.xa or self.yb <= self.ya:
-            raise ValueError("domain rectangle must have positive extent")
+        if not (-np.inf < self.xa < self.xb < np.inf
+                and -np.inf < self.ya < self.yb < np.inf):
+            raise ValueError("domain rectangle must be finite with positive extent")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need at least 2 cells per axis for interior nodes")
 

@@ -220,21 +220,16 @@ def _check_interval(t0: float, t1: float) -> str:
 
 
 def rk_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
-            u0: np.ndarray, rtol: float = 1e-10, atol: float = 1e-10
-            ) -> tuple[np.ndarray, StarterRecord]:
+            u0: np.ndarray) -> tuple[np.ndarray, StarterRecord]:
     """Advance u0 from t0 to t1 with the Dormand-Prince 5(4) pair.
 
-    Produces the second history level on a non-stiff start interval, and
-    serves the tests as the oracle of ``etd_init``. Tolerances default
-    to 1e-10 so the starter error is negligible against the scheme error.
+    Produces the second history level on a non-stiff start interval.
+    Its tolerances, rtol = atol = 1e-10, keep the starter error
+    negligible against the scheme error.
     """
     failed = _check_interval(t0, t1)
-    if not rtol >= 100 * np.finfo(float).eps:
-        raise ValueError(f"rtol must be at least 100 * eps, got {rtol!r}")
-    if not atol >= 0.0:
-        raise ValueError(f"atol must be nonnegative, got {atol!r}")
     try:
-        sol = solve_ivp(mol_rhs(problem, sgrid), (t0, t1), u0, rtol, atol)
+        sol = solve_ivp(mol_rhs(problem, sgrid), (t0, t1), u0, 1e-10, 1e-10)
     except Exception as exc:
         raise InitializationError(failed) from exc
     if not sol.success:

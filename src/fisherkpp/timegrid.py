@@ -55,15 +55,10 @@ class TimeGrid:
     def kind(self) -> str:
         return "uniform" if self.gamma is None else "graded"
 
-    @property
-    def steps(self) -> np.ndarray:
-        """Per-step sizes tau_n = t_n - t_{n-1}, length M."""
-        return np.diff(self.nodes)
-
 
 def _check_common(T: float, M: int) -> None:
-    if T <= 0.0:
-        raise GridConstructionError(f"final time must be positive, got {T}")
+    if not 0.0 < T < np.inf:
+        raise GridConstructionError(f"final time must be positive and finite, got {T}")
     if M < 2:
         raise GridConstructionError(
             f"need at least 2 steps (two history levels), got M={M}"
@@ -86,11 +81,11 @@ def graded_grid(T: float, M: int, gamma: float) -> TimeGrid:
     Parameters
     ----------
     T : float
-        Final time, > 0.
+        Final time, finite, > 0.
     M : int
         Step count, >= 2.
     gamma : float
-        Grading exponent, > 0. Larger values stretch the steps more.
+        Grading exponent, finite, > 0. Larger values stretch the steps more.
 
     Raises
     ------
@@ -99,8 +94,10 @@ def graded_grid(T: float, M: int, gamma: float) -> TimeGrid:
         strictly increasing for this (M, gamma) pair.
     """
     _check_common(T, M)
-    if gamma <= 0.0:
-        raise GridConstructionError(f"grading exponent must be positive, got {gamma}")
+    if not 0.0 < gamma < np.inf:
+        raise GridConstructionError(
+            f"grading exponent must be positive and finite, got {gamma}"
+        )
     T = float(T)
     M = int(M)
     # Nodes come straight from the closed formulas; no incremental sums,

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import shlex
@@ -7,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fisherkpp import analysis, cli, spatial, stepper
+from fisherkpp import analysis, cli, stepper
 from fisherkpp.cli import (
     ConfigError,
     RunConfig,
@@ -288,7 +287,9 @@ def test_benchmark_sweep_calls_each_traced_name_once_per_integration(
         tmp_path, monkeypatch):
     # perfbench's mms-sweep-graded command: its tracer wraps these names of
     # fisherkpp.analysis, and its setup_s and cell_steps_per_s come from the
-    # wrapped integrations, so a sweep that bypasses them must fail here
+    # wrapped integrations, so a sweep that bypasses them must fail here.
+    # Its three betas share one start per time grid: each sweep builds its
+    # own space grid, and the starts match equal grids by value
     names = ("integrate", "exact_final_field", "linf_error", "l2_error")
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -296,37 +297,19 @@ def test_benchmark_sweep_calls_each_traced_name_once_per_integration(
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(analysis, name, counted)
+    real_start = stepper.start_level
+    starts = []
+
+    def start(*args):
+        starts.append(args[2:4])
+        return real_start(*args)
+
+    monkeypatch.setattr(stepper, "start_level", start)
     assert run_cli("convergence", "--example", "manufactured", "--nx", "16",
                    "--sweep-m", "20,40,80", "--grids", "graded:0.75",
                    "--betas", "sqrt2,2,pi", "-o", str(tmp_path / "out")) == 0
     assert calls == dict.fromkeys(names, 9)
-
-
-@pytest.mark.parametrize("sweep, built", [
-    (["--nx", "8", "--sweep-m", "4,8"], [(8, 8)]),
-    (["-M", "8", "--sweep-n", "4,8"], [(4, 4), (8, 8)]),
-], ids=["temporal", "spatial"])
-def test_convergence_builds_each_space_grid_once(tmp_path, monkeypatch, sweep,
-                                                 built):
-    # three betas and two time grids per size share one grid and its ring
-    real = spatial.SpaceGrid.boundary_ring.func
-    sizes = []
-
-    def counted(grid):
-        sizes.append((grid.nx, grid.ny))
-        return real(grid)
-
-    ring = functools.cached_property(counted)
-    ring.__set_name__(spatial.SpaceGrid, "boundary_ring")
-    monkeypatch.setattr(spatial.SpaceGrid, "boundary_ring", ring)
-    assert run_cli("convergence", "--example", "wave", *sweep,
-                   "--betas", "sqrt2,2,pi", "--grids", "uniform,graded:0.75",
-                   "-o", str(tmp_path / "out")) == 0
-    assert sizes == built
-    # every call builds its own grids
-    assert run_cli("convergence", "--example", "wave", *sweep,
-                   "-o", str(tmp_path / "again")) == 0
-    assert sizes == built * 2
+    assert len(starts) == len(set(starts)) == 3
 
 
 @pytest.mark.parametrize("flag, value, key, label", [
@@ -400,9 +383,10 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
     (("run", "-M", "1"), "M must be at least 2, got 1"),
     (("run", "--beta", "0.5"), "beta must exceed 1, got 0.5"),
     (("grid", "-M", "1"), "need at least 2 steps (two history levels), got M=1"),
-    (("grid", "-T", "0", "-M", "4"), "final time must be positive, got 0.0"),
+    (("grid", "-T", "0", "-M", "4"),
+     "final time must be positive and finite, got 0.0"),
     (("grid", "-M", "4", "--gamma", "-1"),
-     "grading exponent must be positive, got -1.0"),
+     "grading exponent must be positive and finite, got -1.0"),
     (("coeffs", "--beta", "0.5"), "shift parameter must exceed 1, got beta=0.5"),
     (("coeffs", "--beta", "2", "--nodes", "0,0,1"),
      "nodes must be strictly increasing, got (0.0, 0.0, 1.0)"),

@@ -1,7 +1,8 @@
-"""Every name a package module imports is used there, and no run loads
-more of scipy than its sine transform, which loads with the first
-transform: a run that makes none loads no scipy at all. A run hashes its
-config without OpenSSL.
+"""Every name a package module imports is used there, every parameter
+of a function is read in its body, and no run loads more of scipy than
+its sine transform, which loads with the first transform: a run that
+makes none loads no scipy at all. A run hashes its config without
+OpenSSL.
 
 The one exception is a name that ``perfbench/tracer.py`` wraps by its
 module-level binding (a target of ``LAYERS``): the traced benchmark
@@ -55,6 +56,37 @@ def test_every_import_is_used_or_tracer_bound(path):
     exempt = tracer_bound_names().get(f"fisherkpp.{path.stem}", set())
     unused = imported_names(tree) - used_names(tree) - exempt
     assert not unused, f"{path.name} imports unused names {sorted(unused)}"
+
+
+def unread_parameters(tree):
+    """(function name, parameter) of every parameter that its ``def`` never
+    reads; a read in a nested function or lambda counts. Lambdas are not
+    checked: constant boundary data keep the (x, y, t) signature."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from ((node.name, p) for p in params if p not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a knob that nothing reads any more is dead code with a public name
+    unread = list(unread_parameters(ast.parse(path.read_text())))
+    assert not unread, f"{path.name} has unread parameters {unread}"
+
+
+def test_unread_parameter_check_sees_defs_not_lambdas():
+    tree = ast.parse(
+        "def f(a, b, *c, d, **e):\n"
+        "    def g():\n"
+        "        return a + sum(c)\n"
+        "    return g() + (lambda x, y, t: 0.0)(1, 2, 3)\n"
+    )
+    assert list(unread_parameters(tree)) == [("f", "b"), ("f", "d"), ("f", "e")]
 
 
 def import_paths(node):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.fft import dstn, idstn
@@ -148,8 +150,12 @@ def test_sine_transform_pair_is_orthonormal():
 
 
 def test_grid_rejects_degenerate():
-    with pytest.raises(ValueError):
-        SpaceGrid(0.0, 0.0, 0.0, 1.0, 4, 4)
+    for corners in ((0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.5),
+                    (0.0, math.nan, 0.0, 1.0), (math.nan, 1.0, 0.0, 1.0),
+                    (0.0, 1.0, -math.inf, 1.0), (0.0, math.inf, 0.0, 1.0)):
+        with pytest.raises(ValueError, match=(
+                "domain rectangle must be finite with positive extent")):
+            SpaceGrid(*corners, 4, 4)
     with pytest.raises(ValueError):
         SpaceGrid(0.0, 1.0, 0.0, 1.0, 1, 4)
 

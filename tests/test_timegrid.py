@@ -1,3 +1,6 @@
+import math
+from functools import partial
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -45,7 +48,7 @@ def test_uniform_quarter_nodes():
 
 def test_uniform_constant_steps():
     tg = uniform_grid(2.0, 8)
-    assert np.all(tg.steps == 0.25)
+    assert np.all(np.diff(tg.nodes) == 0.25)
 
 
 def test_uniform_rejects_single_step():
@@ -54,10 +57,14 @@ def test_uniform_rejects_single_step():
 
 
 def test_uniform_rejects_nonpositive_T():
-    with pytest.raises(GridConstructionError):
-        uniform_grid(0.0, 4)
-    with pytest.raises(GridConstructionError):
-        uniform_grid(-1.0, 4)
+    # NaN and inf fail the check before a node is computed, so numpy warns
+    # nothing (pyproject.toml makes a RuntimeWarning an error)
+    for T in (0.0, -1.0, math.nan, math.inf):
+        for build in (partial(uniform_grid, M=4),
+                      partial(graded_grid, M=8, gamma=0.75)):
+            with pytest.raises(GridConstructionError, match=(
+                    f"final time must be positive and finite, got {T}")):
+                build(T)
 
 
 def test_graded_endpoints_exact():
@@ -95,7 +102,7 @@ def test_step_ratio_grows_with_gamma():
     for M in (16, 64, 256):
         ratios = []
         for gamma in (0.5, 0.75, 1.0, 1.5):
-            steps = graded_grid(1.0, M, gamma).steps
+            steps = np.diff(graded_grid(1.0, M, gamma).nodes)
             ratios.append(steps.max() / steps.min())
         assert ratios == sorted(ratios)
         assert ratios[0] > 1.0
@@ -108,10 +115,10 @@ def test_graded_interior_differs_from_uniform():
 
 
 def test_graded_rejects_bad_gamma():
-    with pytest.raises(GridConstructionError):
-        graded_grid(1.0, 8, 0.0)
-    with pytest.raises(GridConstructionError):
-        graded_grid(1.0, 8, -0.5)
+    for gamma in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(GridConstructionError, match=(
+                f"grading exponent must be positive and finite, got {gamma}")):
+            graded_grid(1.0, 8, gamma)
 
 
 def test_nodes_are_read_only():
