@@ -34,10 +34,10 @@ _SYMBOLIC = {"sqrt2": math.sqrt(2.0), "pi": math.pi}
 
 
 class ConfigError(ValueError):
-    """All configuration violations, collected."""
+    """All configuration violations, collected, each distinct one once."""
 
     def __init__(self, violations):
-        self.violations = list(violations)
+        self.violations = list(dict.fromkeys(violations))
         super().__init__("; ".join(self.violations))
 
 
@@ -163,7 +163,9 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
     """Build a validated RunConfig from a file plus flag overrides.
 
     Collects every violation before failing, so a bad config reports all
-    of its problems at once.
+    of its problems at once. Range rules are the library's: each time grid,
+    weight set and space grid the command uses is built, and what it rejects
+    is a violation.
     """
     raw = read_config_file(file_path) if file_path else {}
     for key, value in (overrides or {}).items():
@@ -188,47 +190,37 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
         except (TypeError, ValueError) as exc:
             violations.append(f"bad value for {key!r}: {exc}")
 
-    if cfg.example not in PROBLEMS:
-        violations.append(
-            f"unknown example {cfg.example!r}; choices: {sorted(PROBLEMS)}"
-        )
-    if not cfg.beta > 1.0:
-        violations.append(f"beta must exceed 1, got {cfg.beta}")
-    if cfg.m < 2:
-        violations.append(f"M must be at least 2, got {cfg.m}")
-    if cfg.nx < 3 or cfg.resolved_ny() < 3:
-        violations.append(f"Nx, Ny must be at least 3, got {cfg.nx}, {cfg.resolved_ny()}")
-    # one violation per sweep list: its entries' bound, else its shape
-    for key, label, entry, least in (("sweep_m", "M", "an M", 2),
-                                     ("sweep_n", "N", "an Nx = Ny", 3)):
-        values = getattr(cfg, key)
-        if values is None:
-            continue
-        if min(values, default=least) < least:
-            violations.append(f"every {key} entry ({entry}) must be at least "
-                              f"{least}, got {values}")
-            continue
+    def attempt(check, *args, prefix=""):
         try:
-            analysis._check_doubling(values, label)
+            check(*args)
         except ValueError as exc:
-            violations.append(f"bad value for {key!r}: {exc}")
-    if cfg.gamma is not None and cfg.gamma <= 0:
-        violations.append(f"gamma must be positive, got {cfg.gamma}")
-    exponents = [gamma for gamma in cfg.grids or () if gamma is not None]
-    if any(gamma <= 0 for gamma in exponents):
-        violations.append(f"every grids exponent must be positive, got {exponents}")
-    if cfg.t_final <= 0:
-        violations.append(f"t_final must be positive, got {cfg.t_final}")
-    if cfg.betas is not None and any(b <= 1.0 for b in cfg.betas):
-        violations.append(f"every beta must exceed 1, got {cfg.betas}")
+            violations.append(f"{prefix}{exc}")
+
+    for m in cfg.sweep_m or [cfg.m]:
+        for gamma in cfg.grids or [cfg.gamma]:
+            attempt(timegrid.time_grid, cfg.t_final, m, gamma)
+    for beta in cfg.betas or [cfg.beta]:
+        attempt(uniform_coeffs, beta)
+    if cfg.example in PROBLEMS:
+        problem = PROBLEMS[cfg.example](T=cfg.t_final)
+        sizes = [(n, n) for n in cfg.sweep_n or ()] or [(cfg.nx, cfg.resolved_ny())]
+        for nx, ny in sizes:
+            attempt(problem.space_grid, nx, ny)
+    else:
+        violations.append(f"unknown example {cfg.example!r}; "
+                          f"choices: {sorted(PROBLEMS)}")
+    for key, label in (("sweep_m", "M"), ("sweep_n", "N")):
+        if getattr(cfg, key) is not None:
+            attempt(analysis._check_doubling, getattr(cfg, key), label,
+                    prefix=f"bad value for {key!r}: ")
     for key, label_of in (("betas", _beta_label), ("grids", _grid_label)):
         values = getattr(cfg, key)
         if values == []:
             violations.append(f"bad value for {key!r}: the list is empty")
         # each entry names its own table files, which a repeat would overwrite
         labels = [label_of(value) for value in values or ()]
-        for label in dict.fromkeys(la for la in labels if labels.count(la) > 1):
-            violations.append(f"key {key!r} repeats the output label {label!r}")
+        violations += [f"key {key!r} repeats the output label {label!r}"
+                       for i, label in enumerate(labels) if label in labels[i + 1:]]
     if violations:
         raise ConfigError(violations)
     return cfg

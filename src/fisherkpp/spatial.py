@@ -8,6 +8,7 @@ eliminated; their influence enters through ``boundary_contribution``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -27,11 +28,15 @@ class SpaceGrid:
     ny: int
 
     def __post_init__(self):
-        if not (-np.inf < self.xa < self.xb < np.inf
-                and -np.inf < self.ya < self.yb < np.inf):
-            raise ValueError("domain rectangle must be finite with positive extent")
+        if not all(isinstance(n, numbers.Integral) for n in (self.nx, self.ny)):
+            raise ValueError(f"cell counts must be integers, got nx={self.nx!r}, "
+                             f"ny={self.ny!r}")
         if self.nx < 2 or self.ny < 2:
-            raise ValueError("need at least 2 cells per axis for interior nodes")
+            raise ValueError(f"need at least 2 cells per axis, got nx={self.nx}, "
+                             f"ny={self.ny}")
+        # widths, not corners: finite corners can span an extent that overflows
+        if not (0.0 < self.hx < np.inf and 0.0 < self.hy < np.inf):
+            raise ValueError("domain rectangle must be finite with positive extent")
 
     @property
     def hx(self) -> float:

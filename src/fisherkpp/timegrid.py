@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class TimeGrid:
 def _check_common(T: float, M: int) -> None:
     if not 0.0 < T < np.inf:
         raise GridConstructionError(f"final time must be positive and finite, got {T}")
+    if not isinstance(M, numbers.Integral):
+        raise GridConstructionError(f"step count must be an integer, got M={M!r}")
     if M < 2:
         raise GridConstructionError(
             f"need at least 2 steps (two history levels), got M={M}"
@@ -83,7 +86,7 @@ def graded_grid(T: float, M: int, gamma: float) -> TimeGrid:
     T : float
         Final time, finite, > 0.
     M : int
-        Step count, >= 2.
+        Step count, an integer >= 2.
     gamma : float
         Grading exponent, finite, > 0. Larger values stretch the steps more.
 

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import shlex
@@ -14,7 +15,9 @@ from fisherkpp.cli import (
     parse_config,
     parse_float,
 )
-from fisherkpp.timegrid import graded_grid
+from fisherkpp.coeffs import uniform_coeffs
+from fisherkpp.problems import example1
+from fisherkpp.timegrid import graded_grid, time_grid
 
 
 def write(tmp_path, text, name="cfg.txt"):
@@ -109,14 +112,14 @@ def test_gamma_flag_switches_to_graded(tmp_path):
 def test_all_violations_reported_at_once(tmp_path):
     with pytest.raises(ConfigError) as info:
         parse_config(write(tmp_path,
-            "beta = 0.5\nm = 1\nnx = 2\nwibble = 3\nd = 2\n"))
+            "beta = 0.5\nm = 1\nnx = 1\nwibble = 3\nd = 2\n"))
     text = "\n".join(info.value.violations)
-    assert "must exceed 1" in text
-    assert "at least 2" in text
-    assert "at least 3" in text
+    assert "shift parameter must exceed 1, got beta=0.5" in text
+    assert "need at least 2 steps (two history levels), got M=1" in text
+    assert "need at least 2 cells per axis, got nx=1, ny=1" in text
     assert "unknown key 'wibble'" in text
     assert "fixed by the selected example" in text
-    assert len(info.value.violations) >= 5
+    assert len(info.value.violations) == 5
 
 
 def test_flag_overrides_file(tmp_path):
@@ -189,10 +192,11 @@ def test_cmd_convergence_requires_exactly_one_axis(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, violation", [
-    (["--sweep-n", "2,4", "-M", "4"],
-     "every sweep_n entry (an Nx = Ny) must be at least 3, got [2, 4]"),
+    # range messages are the library's: SpaceGrid's and time_grid's
+    (["--sweep-n", "1,2", "-M", "4"],
+     "need at least 2 cells per axis, got nx=1, ny=1"),
     (["--nx", "8", "--sweep-m", "1,2"],
-     "every sweep_m entry (an M) must be at least 2, got [1, 2]"),
+     "need at least 2 steps (two history levels), got M=1"),
     # a list's shape is checked with the same collected violations
     (["--nx", "8", "--sweep-m", "8,4"],
      "bad value for 'sweep_m': M list must increase by factors of 2, got [8, 4]"),
@@ -210,9 +214,9 @@ def test_cmd_convergence_requires_exactly_one_axis(tmp_path, capsys):
     (["--nx", "8", "--sweep-m", "4,8", "-c", "betas = ,"],
      "bad value for 'betas': the list is empty"),
     (["--nx", "8", "--sweep-m", "4,8", "--grids", "uniform,graded:-1"],
-     "every grids exponent must be positive, got [-1.0]"),
+     "grading exponent must be positive and finite, got -1.0"),
     (["--nx", "8", "--sweep-m", "4,8", "--grids", "uniform,graded:0"],
-     "every grids exponent must be positive, got [0.0]"),
+     "grading exponent must be positive and finite, got 0.0"),
 ], ids=["sweep_n", "sweep_m", "sweep_m_decreasing", "sweep_m_empty", "sweep_n_repeated",
         "betas_empty", "grids_empty", "grids_commas", "betas_empty_config_line",
         "grids_negative_exponent", "grids_zero_exponent"])
@@ -232,8 +236,103 @@ def test_sweep_entry_below_its_key_bound_is_config_error(tmp_path, argv,
 
 def test_sweep_entry_violations_collected_with_the_others():
     with pytest.raises(ConfigError) as info:
-        parse_config(overrides={"sweep_m": "1,4", "sweep_n": "8,2", "beta": "1"})
-    assert len(info.value.violations) == 3
+        parse_config(overrides={"sweep_m": "1,4", "sweep_n": "8,1", "beta": "1"})
+    assert info.value.violations == [
+        "need at least 2 steps (two history levels), got M=1",
+        "shift parameter must exceed 1, got beta=1.0",
+        "need at least 2 cells per axis, got nx=1, ny=1",
+        "bad value for 'sweep_m': M list must increase by factors of 2, got [1, 4]",
+        "bad value for 'sweep_n': N list must increase by factors of 2, got [8, 1]",
+    ]
+
+
+@pytest.mark.parametrize("argv, build", [
+    (("run", "--beta", "0.5"), lambda: uniform_coeffs(0.5)),
+    (("convergence", "--nx", "8", "--sweep-m", "4,8", "--betas", "2,1"),
+     lambda: uniform_coeffs(1.0)),
+    (("run", "-M", "1"), lambda: time_grid(1.0, 1)),
+    (("convergence", "--nx", "8", "--sweep-m", "1,2"), lambda: time_grid(1.0, 1)),
+    (("run", "--t-final", "0"), lambda: time_grid(0.0, 40)),
+    (("run", "--gamma", "0"), lambda: time_grid(1.0, 40, 0.0)),
+    (("convergence", "--nx", "8", "--sweep-m", "4,8", "--grids", "uniform,graded:-2"),
+     lambda: time_grid(1.0, 4, -2.0)),
+    (("run", "--nx", "1", "--ny", "8"), lambda: example1().space_grid(1, 8)),
+    (("convergence", "-M", "4", "--sweep-n", "0,0"),
+     lambda: example1().space_grid(0, 0)),
+], ids=["beta", "betas", "m", "sweep_m", "t_final", "gamma", "grids", "nx", "sweep_n"])
+def test_range_violation_is_the_library_message(tmp_path, argv, build, capsys):
+    # the CLI hands each value to the constructor that owns its range and
+    # reports that constructor's message
+    with pytest.raises(ValueError) as info:
+        build()
+    out = tmp_path / "out"
+    assert run_cli(*argv, "-o", str(out)) == 2
+    assert capsys.readouterr().err == f"config error: {info.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, violations", [
+    (("--nx", "4", "--sweep-m", "10,20,40,80", "--grids", "uniform,graded:40"),
+     [f"nodes must be strictly increasing (M={m}, gamma=40.0)"
+      for m in (10, 20, 40, 80)]),
+    (("--nx", "8", "--sweep-m", "4,8", "--betas", "2,1e11"),
+     ["node triple (-1.0, 0.0, 1.0) has step ratio rho = 1: the extrapolation "
+      "weights amplify by 1 + 2 beta / rho > 1e+11"]),
+], ids=["graded_nodes", "beta_1e11"])
+def test_sweep_with_a_bad_later_entry_writes_nothing(tmp_path, argv, violations,
+                                                    capsys):
+    # the uniform grid and beta = 2 are valid, but their tables are not
+    # written either: every grid and weight set is built before the first
+    # integration
+    out = tmp_path / "out"
+    assert run_cli("convergence", *argv, "-o", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {v}" for v in violations]
+    assert not out.exists()
+
+
+def test_two_cells_per_axis_run(tmp_path):
+    # SpaceGrid's floor: one interior node
+    out = tmp_path / "out"
+    assert run_cli("run", "--nx", "2", "-M", "4", "-o", str(out)) == 0
+    assert len((out / "field.csv").read_text().splitlines()) == 3
+
+
+def numeric_comparisons(tree, function):
+    """Source of every comparison with a number literal in ``function``."""
+    def is_number(node):
+        try:
+            value = ast.literal_eval(node)
+        except ValueError:
+            return False
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == function:
+            yield from (ast.unparse(node) for node in ast.walk(fn)
+                        if isinstance(node, ast.Compare)
+                        and any(map(is_number, (node.left, *node.comparators))))
+
+
+def test_parse_config_copies_no_range_rule():
+    # a bound on a config value belongs to the constructor that the value
+    # is handed to (time_grid, uniform_coeffs, SpaceGrid), which
+    # parse_config calls; a copy in parse_config drifts from it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assert list(numeric_comparisons(tree, "parse_config")) == []
+
+
+def test_numeric_comparison_check_sees_copied_rules():
+    tree = ast.parse(
+        "def parse_config(cfg):\n"
+        "    if cfg.m < 2 or not cfg.beta > 1.0 or cfg.gamma <= -1:\n"
+        "        return [b for b in cfg.betas if 1 >= b and b is not True]\n"
+        "    return cfg.betas == [] or cfg.m < cfg.nx\n"
+        "def other(cfg):\n"
+        "    return cfg.nx < 3\n"
+    )
+    assert sorted(numeric_comparisons(tree, "parse_config")) == [
+        "1 >= b", "cfg.beta > 1.0", "cfg.gamma <= -1", "cfg.m < 2"]
 
 
 def test_cmd_convergence_writes_tables_per_combination(tmp_path):
@@ -333,8 +432,9 @@ def test_convergence_rejects_repeated_output_labels(tmp_path, flag, value, key,
 def test_repeated_labels_collected_with_the_others():
     with pytest.raises(ConfigError) as info:
         parse_config(overrides={"betas": "pi,2,pi,2", "grids": "uniform,uniform",
-                                "nx": "2"})
-    assert info.value.violations[1:] == [
+                                "nx": "1"})
+    assert info.value.violations == [
+        "need at least 2 cells per axis, got nx=1, ny=1",
         "key 'betas' repeats the output label 'pi'",
         "key 'betas' repeats the output label '2'",
         "key 'grids' repeats the output label 'uniform'",
@@ -380,8 +480,8 @@ def test_cmd_coeffs_uniform_and_nodes(tmp_path, capsys):
     (("coeffs", "--beta", "2", "--nodes", "0,x,1"),
      "bad value for '--nodes': could not convert string to float: 'x'"),
     # out-of-range grid and weight values exit 2, as they do in run
-    (("run", "-M", "1"), "M must be at least 2, got 1"),
-    (("run", "--beta", "0.5"), "beta must exceed 1, got 0.5"),
+    (("run", "-M", "1"), "need at least 2 steps (two history levels), got M=1"),
+    (("run", "--beta", "0.5"), "shift parameter must exceed 1, got beta=0.5"),
     (("grid", "-M", "1"), "need at least 2 steps (two history levels), got M=1"),
     (("grid", "-T", "0", "-M", "4"),
      "final time must be positive and finite, got 0.0"),
@@ -466,14 +566,16 @@ def test_run_on_subnormal_steps_names_non_finite_weights(tmp_path, capsys):
 
 def test_run_with_a_rejected_step_triple_is_a_config_error(tmp_path, capsys):
     # at beta = 1e11 even a uniform triple amplifies the extrapolation by
-    # 2e11; the same CoefficientError makes coeffs exit 2
+    # 2e11: the config check builds the uniform weights and fails before the
+    # start, with the CoefficientError that makes coeffs exit 2
+    out = tmp_path / "out"
     assert run_cli("run", "--example", "wave", "--nx", "16", "-M", "10",
-                   "--beta", "1e11", "-o", str(tmp_path / "out")) == 2
+                   "--beta", "1e11", "-o", str(out)) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "config error: step 2 (t=0.2) failed",
-        "  cause: node triple (0.0, 0.1, 0.2) has step ratio rho = 1: the "
+        "config error: node triple (-1.0, 0.0, 1.0) has step ratio rho = 1: the "
         "extrapolation weights amplify by 1 + 2 beta / rho > 1e+11",
     ]
+    assert not out.exists()
     assert run_cli("coeffs", "--beta", "1e11") == 2
 
 

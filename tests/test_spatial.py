@@ -150,14 +150,22 @@ def test_sine_transform_pair_is_orthonormal():
 
 
 def test_grid_rejects_degenerate():
+    # finite corners whose extent overflows gave hx = inf
     for corners in ((0.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.5),
                     (0.0, math.nan, 0.0, 1.0), (math.nan, 1.0, 0.0, 1.0),
-                    (0.0, 1.0, -math.inf, 1.0), (0.0, math.inf, 0.0, 1.0)):
+                    (0.0, 1.0, -math.inf, 1.0), (0.0, math.inf, 0.0, 1.0),
+                    (-1e308, 1e308, 0.0, 1.0), (0.0, 1.0, -1e308, 1e308)):
         with pytest.raises(ValueError, match=(
                 "domain rectangle must be finite with positive extent")):
             SpaceGrid(*corners, 4, 4)
-    with pytest.raises(ValueError):
-        SpaceGrid(0.0, 1.0, 0.0, 1.0, 1, 4)
+    with pytest.raises(ValueError, match=(
+            "need at least 2 cells per axis, got nx=1, ny=8")):
+        SpaceGrid(0.0, 1.0, 0.0, 1.0, 1, 8)
+    # a count that is not an integer built a grid with n_interior == 10.5
+    with pytest.raises(ValueError, match=(
+            r"cell counts must be integers, got nx=4\.5, ny=4")):
+        SpaceGrid(0.0, 1.0, 0.0, 1.0, 4.5, 4)
+    assert SpaceGrid(0.0, 1.0, 0.0, 1.0, 2, np.int64(2)).n_interior == 1
 
 
 def test_laplacian_of_zero_is_zero():

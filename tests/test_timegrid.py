@@ -65,6 +65,10 @@ def test_uniform_rejects_nonpositive_T():
             with pytest.raises(GridConstructionError, match=(
                     f"final time must be positive and finite, got {T}")):
                 build(T)
+    # a count that is not an integer names M; numpy raised a TypeError
+    with pytest.raises(GridConstructionError,
+                       match=r"step count must be an integer, got M=4\.5"):
+        uniform_grid(1.0, 4.5)
 
 
 def test_graded_endpoints_exact():
@@ -119,6 +123,10 @@ def test_graded_rejects_bad_gamma():
         with pytest.raises(GridConstructionError, match=(
                 f"grading exponent must be positive and finite, got {gamma}")):
             graded_grid(1.0, 8, gamma)
+    # int(M) truncated 4.5 to a 4-step grid
+    with pytest.raises(GridConstructionError,
+                       match=r"step count must be an integer, got M=4\.5"):
+        graded_grid(1.0, 4.5, 0.75)
 
 
 def test_nodes_are_read_only():
