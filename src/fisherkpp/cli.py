@@ -18,7 +18,7 @@ from . import analysis, timegrid
 from .coeffs import CoefficientError, nonuniform_coeffs, uniform_coeffs
 from .problems import PROBLEMS
 from .spatial import field_to_csv
-from .stepper import integrate
+from .stepper import integrate, step_weights
 
 # CPython's builtin SHA-256, as random.py takes its sha512: hashlib would
 # load OpenSSL, a few MB of memory for one 12-digit config hash
@@ -164,8 +164,8 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
 
     Collects every violation before failing, so a bad config reports all
     of its problems at once. Range rules are the library's: each time grid,
-    weight set and space grid the command uses is built, and what it rejects
-    is a violation.
+    beta, space grid and (time grid, beta) pair's step weights the command
+    uses is built, and what it rejects is a violation.
     """
     raw = read_config_file(file_path) if file_path else {}
     for key, value in (overrides or {}).items():
@@ -190,17 +190,19 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
         except (TypeError, ValueError) as exc:
             violations.append(f"bad value for {key!r}: {exc}")
 
-    def attempt(check, *args, prefix=""):
+    def attempt(build, *args, prefix=""):
         try:
-            check(*args)
+            return build(*args)
         except ValueError as exc:
             violations.append(f"{prefix}{exc}")
 
-    for m in cfg.sweep_m or [cfg.m]:
-        for gamma in cfg.grids or [cfg.gamma]:
-            attempt(timegrid.time_grid, cfg.t_final, m, gamma)
-    for beta in cfg.betas or [cfg.beta]:
-        attempt(uniform_coeffs, beta)
+    tgrids = [attempt(timegrid.time_grid, cfg.t_final, m, gamma)
+              for m in cfg.sweep_m or [cfg.m] for gamma in cfg.grids or [cfg.gamma]]
+    # a beta out of range is reported once, not once per time grid
+    betas = [beta for beta in cfg.betas or [cfg.beta] if attempt(uniform_coeffs, beta)]
+    for tgrid in filter(None, tgrids):
+        for beta in betas:
+            attempt(step_weights, tgrid, beta)
     if cfg.example in PROBLEMS:
         problem = PROBLEMS[cfg.example](T=cfg.t_final)
         sizes = [(n, n) for n in cfg.sweep_n or ()] or [(cfg.nx, cfg.resolved_ny())]
@@ -237,18 +239,19 @@ def cmd_run(cfg: RunConfig) -> int:
     problem = PROBLEMS[cfg.example](T=cfg.t_final)
     sgrid = problem.space_grid(cfg.nx, cfg.resolved_ny())
     tgrid = timegrid.time_grid(cfg.t_final, cfg.m, cfg.gamma)
-    out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     header = [f"config={cfg.hash()}"]
 
     u, report = integrate(problem, tgrid, sgrid, cfg.beta)
-    field_to_csv(u, sgrid, out / "field.csv", header_lines=header)
-    report.to_csv(out / "report.csv", header_lines=header)
-
     if problem.exact is not None:
         exact = analysis.exact_final_field(problem, sgrid, tgrid.T)
         linf = analysis.linf_error(u, exact)
         l2 = analysis.l2_error(u, exact, sgrid)
+    # made only now, so that a run that fails leaves no directory
+    out = Path(cfg.output)
+    out.mkdir(parents=True, exist_ok=True)
+    field_to_csv(u, sgrid, out / "field.csv", header_lines=header)
+    report.to_csv(out / "report.csv", header_lines=header)
+    if problem.exact is not None:
         with open(out / "errors.csv", "w") as fh:
             fh.write("".join(f"# {line}\n" for line in header))
             fh.write("Linf,L2\n")
@@ -286,12 +289,10 @@ def cmd_convergence(cfg: RunConfig) -> int:
     problem = PROBLEMS[cfg.example](T=cfg.t_final)
     betas = cfg.betas if cfg.betas is not None else [cfg.beta]
     grids = cfg.grids if cfg.grids is not None else [cfg.gamma]
-    out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     header = [f"config={cfg.hash()}"]
     # u^1 does not depend on beta: every beta marches from one start per
     # grid, matched by the grids' values, not their identity
-    starts = {}
+    starts, tables = {}, {}
     for beta in betas:
         for gamma in grids:
             if cfg.sweep_m is not None:
@@ -304,12 +305,16 @@ def cmd_convergence(cfg: RunConfig) -> int:
                     problem, beta, cfg.sweep_n, cfg.m,
                     gamma=gamma, starts=starts,
                 )
-            stem = f"{table.axis}_beta{_beta_label(beta)}_{_grid_label(gamma)}"
-            table.write_csv(out / f"{stem}.csv", header_lines=header)
-            table.write_plot_data(out / f"{stem}_plot.csv", header_lines=header)
-            last = table.rows[-1]
-            print(f"{stem}: Linf={last.linf:.4e} order_inf="
-                  f"{'-' if last.order_inf is None else f'{last.order_inf:.3f}'}")
+            tables[f"{table.axis}_beta{_beta_label(beta)}_{_grid_label(gamma)}"] = table
+    # made only now, so that a sweep that fails leaves no directory
+    out = Path(cfg.output)
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, table in tables.items():
+        table.write_csv(out / f"{stem}.csv", header_lines=header)
+        table.write_plot_data(out / f"{stem}_plot.csv", header_lines=header)
+        last = table.rows[-1]
+        print(f"{stem}: Linf={last.linf:.4e} order_inf="
+              f"{'-' if last.order_inf is None else f'{last.order_inf:.3f}'}")
     return 0
 
 
@@ -419,12 +424,10 @@ def main(argv=None) -> int:
             print(f"config error: {v}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        # a step whose weights cannot be formed has a bad beta or time grid
-        config = isinstance(exc.__cause__, CoefficientError)
-        print(f"{'config error' if config else 'error'}: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         if exc.__cause__ is not None:
             print(f"  cause: {exc.__cause__}", file=sys.stderr)
-        return 2 if config else 1
+        return 1
 
 
 if __name__ == "__main__":

@@ -27,7 +27,8 @@ import numpy as np
 # uniform_coeffs and direct_solve_small are unused here but stay bound:
 # perfbench/tracer.py wraps fisherkpp.stepper.uniform_coeffs and
 # fisherkpp.stepper.direct_solve_small by name
-from .coeffs import nonuniform_coeffs, uniform_coeffs  # noqa: F401
+from .coeffs import CoefficientError, StepCoefficients, nonuniform_coeffs
+from .coeffs import uniform_coeffs  # noqa: F401
 from .linsolve import CGResult, ShiftedOperator, cg_solve, direct_solve_small  # noqa: F401
 from .problems import ProblemSpec, f_eval, source_at_shifted_time
 from .spatial import (
@@ -399,26 +400,37 @@ def start_level(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
     return rk_init(problem, sgrid, t0, t1, u0)
 
 
-def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, t_prev: float,
-                  t_curr: float, t_next: float, beta: float,
-                  problem: ProblemSpec, sgrid: SpaceGrid,
-                  liftings: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> tuple[np.ndarray, CGResult]:
-    """One implicit-explicit step from t_curr to t_next.
+def step_weights(tgrid: TimeGrid, beta: float) -> list[StepCoefficients]:
+    """The weights of the M - 1 steps of ``tgrid`` at shift ``beta``: row
+    n - 1 is ``nonuniform_coeffs`` of the step's triple (t_{n-1}, t_n, t_{n+1}).
 
-    The weights and the shifted time t* = t_curr + beta * (t_next - t_curr)
-    come from the node triple (t_prev, t_curr, t_next). ``liftings`` holds
-    the Dirichlet liftings bc_n and bc_{n+1} at t_curr and t_next, which
-    the step reads and never writes; they are evaluated when not given.
+    Raises a ``CoefficientError`` naming beta, the first step whose weights
+    cannot be formed and its end time, with the cause chained.
+    """
+    nodes = tgrid.nodes.tolist()  # floats: an overflow gives inf, not a numpy warning
+    rows = []
+    for n in range(1, tgrid.M):
+        try:
+            rows.append(nonuniform_coeffs(*nodes[n - 1:n + 2], beta))
+        except CoefficientError as exc:
+            raise CoefficientError(
+                f"beta={beta:g} step {n + 1} (t={nodes[n + 1]:g}): {exc}") from exc
+    return rows
+
+
+def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, coeffs: StepCoefficients,
+                  liftings: tuple[np.ndarray, np.ndarray], problem: ProblemSpec,
+                  sgrid: SpaceGrid) -> tuple[np.ndarray, CGResult]:
+    """One implicit-explicit step from t_n to t_{n+1}.
+
+    ``coeffs`` are the step's weights and shifted time t*, its row of
+    ``step_weights``. ``liftings`` holds the Dirichlet liftings bc_n and
+    bc_{n+1} at t_n and t_{n+1}, which the step reads and never writes.
     A problem without a source adds no source term. Returns u^{n+1} and
     the CG result of its solve, warm-started from u^n at the default
     tolerance of ``cg_solve``.
     """
-    if liftings is None:
-        liftings = (boundary_contribution(problem.boundary, t_curr, sgrid),
-                    boundary_contribution(problem.boundary, t_next, sgrid))
     bc_curr, bc_next = liftings
-    coeffs = nonuniform_coeffs(t_prev, t_curr, t_next, beta)
     a0, a1, a2 = coeffs.a
     b0, b1 = coeffs.b
     c0, c1 = coeffs.c
@@ -460,12 +472,15 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
 
     Raises
     ------
+    CoefficientError
+        From ``step_weights``, before the start.
     RuntimeError
-        Naming the step and its end time when that step's coefficients,
-        its solve or its result fail; the cause is chained. A non-finite
-        field counts as a failure.
+        Naming the step and its end time when that step's solve or its
+        result fail; the cause is chained. A non-finite field counts as a
+        failure.
     """
-    nodes = tgrid.nodes.tolist()  # floats: an overflow gives inf, not a numpy warning
+    weights = step_weights(tgrid, beta)
+    nodes = tgrid.nodes.tolist()
     u_prev = eval_interior(problem.initial, sgrid)
     key = (problem, sgrid, nodes[0], nodes[1])
     if starts is not None and key in starts:
@@ -484,10 +499,8 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
         try:
             bc_curr = bc_next
             bc_next = boundary_contribution(problem.boundary, nodes[n + 1], sgrid)
-            u_next, solve = bdf_imex_step(
-                u_prev, u_curr, nodes[n - 1], nodes[n], nodes[n + 1], beta,
-                problem, sgrid, liftings=(bc_curr, bc_next),
-            )
+            u_next, solve = bdf_imex_step(u_prev, u_curr, weights[n - 1],
+                                          (bc_curr, bc_next), problem, sgrid)
             if not np.isfinite(u_next).all():
                 raise FloatingPointError("the new field is not finite")
         except Exception as exc:

@@ -29,7 +29,7 @@ from fisherkpp.analysis import (ConvergenceTable, exact_final_field, l2_error,
 from fisherkpp.coeffs import nonuniform_coeffs, uniform_coeffs
 from fisherkpp.linsolve import ShiftedOperator, cg_solve, direct_solve_small
 from fisherkpp.problems import example1, example2
-from fisherkpp.spatial import eval_interior
+from fisherkpp.spatial import boundary_contribution, eval_interior
 from fisherkpp.stepper import bdf_imex_step, integrate
 from fisherkpp.timegrid import TimeGrid, graded_grid, uniform_grid
 
@@ -265,8 +265,11 @@ def test_criterion_06_discretization_oracle(monkeypatch):
             t_prev, t_curr, t_next = tg.nodes[n - 1:n + 2]
             u_prev = eval_interior(p.exact, g, t=t_prev)
             u_curr = eval_interior(p.exact, g, t=t_curr)
-            u_next, _ = bdf_imex_step(u_prev, u_curr, t_prev, t_curr, t_next,
-                                      2.0, p, g)
+            liftings = (boundary_contribution(p.boundary, t_curr, g),
+                        boundary_contribution(p.boundary, t_next, g))
+            u_next, _ = bdf_imex_step(
+                u_prev, u_curr, nonuniform_coeffs(t_prev, t_curr, t_next, 2.0),
+                liftings, p, g)
             oracle = dense_step_oracle(p, g, t_prev, t_curr, t_next, 2.0,
                                        u_prev, u_curr)
             gap = np.abs(u_next - oracle).max()

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import shlex
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from fisherkpp.cli import (
     parse_float,
 )
 from fisherkpp.coeffs import uniform_coeffs
+from fisherkpp.linsolve import cg_solve
 from fisherkpp.problems import example1
 from fisherkpp.timegrid import graded_grid, time_grid
 
@@ -278,12 +280,21 @@ def test_range_violation_is_the_library_message(tmp_path, argv, build, capsys):
     (("--nx", "8", "--sweep-m", "4,8", "--betas", "2,1e11"),
      ["node triple (-1.0, 0.0, 1.0) has step ratio rho = 1: the extrapolation "
       "weights amplify by 1 + 2 beta / rho > 1e+11"]),
-], ids=["graded_nodes", "beta_1e11"])
+    # the uniform weights of beta = 2e9 pass; the first graded step of each
+    # grid amplifies past the bound
+    (("--nx", "8", "--sweep-m", "10,20", "--grids", "graded:10", "--betas", "2,2e9"),
+     ["beta=2e+09 step 2 (t=8.49111e-06): node triple (0.0, 1.6538170310997913e-07, "
+      "8.491108440922268e-06) has step ratio rho = 0.0198639: the extrapolation "
+      "weights amplify by 1 + 2 beta / rho > 1e+11",
+      "beta=2e+09 step 2 (t=1.11312e-08): node triple (0.0, 1.786318870600212e-10, "
+      "1.1131201294034554e-08) has step ratio rho = 0.0163096: the extrapolation "
+      "weights amplify by 1 + 2 beta / rho > 1e+11"]),
+], ids=["graded_nodes", "beta_1e11", "graded_beta_2e9"])
 def test_sweep_with_a_bad_later_entry_writes_nothing(tmp_path, argv, violations,
                                                     capsys):
     # the uniform grid and beta = 2 are valid, but their tables are not
-    # written either: every grid and weight set is built before the first
-    # integration
+    # written either: every grid, beta and (grid, beta) pair's step weights
+    # are built before the first integration
     out = tmp_path / "out"
     assert run_cli("convergence", *argv, "-o", str(out)) == 2
     assert capsys.readouterr().err.splitlines() == [
@@ -316,8 +327,8 @@ def numeric_comparisons(tree, function):
 
 def test_parse_config_copies_no_range_rule():
     # a bound on a config value belongs to the constructor that the value
-    # is handed to (time_grid, uniform_coeffs, SpaceGrid), which
-    # parse_config calls; a copy in parse_config drifts from it
+    # is handed to (time_grid, uniform_coeffs, step_weights, SpaceGrid),
+    # which parse_config calls; a copy in parse_config drifts from it
     tree = ast.parse(Path(cli.__file__).read_text())
     assert list(numeric_comparisons(tree, "parse_config")) == []
 
@@ -552,16 +563,33 @@ def test_run_on_steps_whose_right_hand_side_norm_overflows(tmp_path, t_final):
 
 
 def test_run_on_subnormal_steps_names_non_finite_weights(tmp_path, capsys):
-    # the weights of a 2.5e-321 step overflow; integrate hands the step
-    # float nodes, so numpy warns of no overflow on the way. Weights that
-    # cannot be formed are a config error, as in coeffs
+    # the weights of a 2.5e-321 step overflow; step_weights reads float
+    # nodes, so numpy warns of no overflow on the way. Weights that cannot
+    # be formed are a config error, as in coeffs, found before any output
+    out = tmp_path / "out"
     assert run_cli("run", "-M", "4", "--nx", "8", "--t-final", "1e-320",
-                   "-o", str(tmp_path / "out")) == 2
+                   "-o", str(out)) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "config error: step 2 (t=4.99994e-321) failed",
-        "  cause: node triple (0.0, 2.5e-321, 5e-321) gives non-finite weights: "
-        "the step 2.49997e-321 is too small",
+        "config error: beta=2 step 2 (t=4.99994e-321): node triple (0.0, 2.5e-321, "
+        "5e-321) gives non-finite weights: the step 2.49997e-321 is too small",
     ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "-M", "8", "--nx", "16"),
+    ("convergence", "--nx", "16", "--sweep-m", "8,16", "--betas", "2,pi"),
+], ids=["run", "convergence"])
+def test_command_that_fails_after_it_starts_leaves_no_directory(
+        tmp_path, argv, monkeypatch, capsys):
+    # CG capped at one iteration cannot meet the tolerance on the first step
+    monkeypatch.setattr(stepper, "cg_solve", partial(cg_solve, max_iter=1))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "-o", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: step 2 (t=")
+    assert err[1].startswith("  cause: ")
+    assert not out.exists()
 
 
 def test_run_with_a_rejected_step_triple_is_a_config_error(tmp_path, capsys):

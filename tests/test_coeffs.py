@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fisherkpp import coeffs
+from fisherkpp import coeffs, stepper
 from fisherkpp.coeffs import CoefficientError, nonuniform_coeffs, uniform_coeffs
 from fisherkpp.problems import example1
 from fisherkpp.stepper import integrate
@@ -225,12 +225,19 @@ def test_nonuniform_rejects_near_degenerate_triple(monkeypatch):
     assert abs(cf.c[0]) + abs(cf.c[1]) == pytest.approx(4e14, rel=1e-12)
 
 
-def test_nan_beta_is_a_shift_parameter_error():
+def test_nan_beta_is_a_shift_parameter_error(monkeypatch):
     with pytest.raises(CoefficientError,
                        match="^shift parameter must exceed 1, got beta=nan$"):
         nonuniform_coeffs(0.0, 1.0, 2.0, math.nan)
+
+    def start(*args):
+        raise AssertionError("start_level was called")
+
+    # integrate builds every step's weights before the start
+    monkeypatch.setattr(stepper, "start_level", start)
     p = example1()
-    with pytest.raises(RuntimeError, match="step 2") as info:
+    with pytest.raises(CoefficientError, match=r"^beta=nan step 2 \(t=0.5\): "
+                       "shift parameter must exceed 1, got beta=nan$") as info:
         integrate(p, uniform_grid(1.0, 4), p.space_grid(4, 4), math.nan)
     assert str(info.value.__cause__) == "shift parameter must exceed 1, got beta=nan"
 

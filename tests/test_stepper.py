@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 from functools import partial
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +19,7 @@ from fisherkpp.problems import (
     example2,
     f_eval,
 )
-from fisherkpp.spatial import eval_interior
+from fisherkpp.spatial import boundary_contribution, eval_interior
 from fisherkpp.stepper import (
     ETD_STIFFNESS,
     InitializationError,
@@ -425,13 +427,21 @@ def test_etd_starter_reports_the_measured_estimate_when_the_jump_is_capped(monke
 
 # ------------------------------------------------------------ bdf_imex_step
 
+def step(u_prev, u_curr, nodes, beta, p, g):
+    """``bdf_imex_step`` over the node triple ``nodes``: its weights and
+    both liftings are built here, as ``integrate`` builds them."""
+    liftings = tuple(boundary_contribution(p.boundary, t, g) for t in nodes[1:])
+    return bdf_imex_step(u_prev, u_curr, nonuniform_coeffs(*nodes, beta), liftings,
+                         p, g)
+
+
 def test_step_keeps_rest_state():
     p = quiescent_problem()
     p = ProblemSpec(**{**p.__dict__, "K": 0.0})
     g = p.space_grid(7, 7)
     tg = uniform_grid(1.0, 10)
     z = np.zeros(g.n_interior)
-    u2, solve = bdf_imex_step(z, z, *tg.nodes[:3], 2.0, p, g)
+    u2, solve = step(z, z, tg.nodes[:3], 2.0, p, g)
     assert np.all(u2 == 0.0)
     assert solve.iterations == 0
 
@@ -448,7 +458,7 @@ def test_step_pure_extrapolation_limit():
     rng = np.random.default_rng(3)
     u_prev = rng.standard_normal(g.n_interior)
     u_curr = rng.standard_normal(g.n_interior)
-    u_next, _ = bdf_imex_step(u_prev, u_curr, *tg.nodes[:3], 1.9, p, g)
+    u_next, _ = step(u_prev, u_curr, tg.nodes[:3], 1.9, p, g)
     a0, a1, a2 = nonuniform_coeffs(*tg.nodes[:3], 1.9).a
     np.testing.assert_allclose(u_next, -(a1 * u_curr + a0 * u_prev) / a2,
                                rtol=1e-10)
@@ -473,10 +483,10 @@ def test_step_reproduces_quadratic_in_time_linear_in_space(monkeypatch):
     nodes = np.array([0.0, 0.07, 0.15, 0.26, 0.5, 0.75, 1.0])
     monkeypatch.setattr(stepper, "cg_solve", partial(cg_solve, tol=1e-13))
     for n in (1, 3):
-        u_next, _ = bdf_imex_step(
+        u_next, _ = step(
             eval_interior(p.exact, g, t=nodes[n - 1]),
             eval_interior(p.exact, g, t=nodes[n]),
-            nodes[n - 1], nodes[n], nodes[n + 1], 2.3, p, g,
+            nodes[n - 1:n + 2], 2.3, p, g,
         )
         np.testing.assert_allclose(
             u_next, eval_interior(p.exact, g, t=nodes[n + 1]), atol=2e-11)
@@ -505,7 +515,7 @@ def test_step_matches_allocating_reference(example, nx, ny, monkeypatch):
     for nodes, beta in (((0.1, 0.13, 0.17), math.sqrt(2)),
                         ((0.5, 0.6, 0.7), 2.0), ((0.0, 0.02, 0.09), math.pi)):
         u_prev, u_curr = rng.uniform(0.0, 1.0, (2, g.n_interior))
-        u_next, solve = bdf_imex_step(u_prev, u_curr, *nodes, beta, p, g)
+        u_next, solve = step(u_prev, u_curr, nodes, beta, p, g)
         rhs, sigma, kappa = step_rhs_allocating(p, g, *nodes, beta, u_prev, u_curr)
         op, step_rhs = solves.pop()
         assert np.array_equal(step_rhs, rhs)
@@ -538,7 +548,7 @@ def test_step_runs_the_stencil_twice_besides_cg_iterations(monkeypatch):
     rng = np.random.default_rng(5)
     u_prev, u_curr = rng.uniform(0.0, 1.0, (2, g.n_interior))
     before = u_prev.copy(), u_curr.copy()
-    _, solve = bdf_imex_step(u_prev, u_curr, 0.1, 0.13, 0.17, 2.0, p, g)
+    _, solve = step(u_prev, u_curr, (0.1, 0.13, 0.17), 2.0, p, g)
     assert solve.iterations > 0
     assert len(runs) == solve.iterations + 2
     (kwargs,) = given
@@ -683,7 +693,7 @@ def test_integrate_evaluates_each_lifting_once(monkeypatch):
     monkeypatch.setattr(stepper, "boundary_contribution", real_lifting)
     u_prev, u_curr = eval_interior(p.initial, g), starts[0][0]
     for n in range(1, tg.M):
-        u_next, _ = bdf_imex_step(u_prev, u_curr, *nodes[n - 1:n + 2], math.pi, p, g)
+        u_next, _ = step(u_prev, u_curr, nodes[n - 1:n + 2], math.pi, p, g)
         u_prev, u_curr = u_curr, u_next
     assert np.array_equal(u, u_curr)
 
@@ -699,15 +709,69 @@ def test_integrate_reports_failing_step(monkeypatch):
     assert isinstance(info.value.__cause__, SolveFailure)
 
 
-def test_integrate_names_step_of_bad_coefficients():
+def test_integrate_names_step_of_bad_coefficients(monkeypatch):
     # the triple (0, 1e-14, 0.5) of the step to t = 0.5 amplifies the
-    # extrapolation by 2e14
+    # extrapolation by 2e14; the weights are built before the start
+    def start(*args):
+        raise AssertionError("start_level was called")
+
+    monkeypatch.setattr(stepper, "start_level", start)
     p = example1()
     g = p.space_grid(6, 6)
     tg = TimeGrid(T=1.0, M=3, nodes=np.array([0.0, 1e-14, 0.5, 1.0]))
-    with pytest.raises(RuntimeError, match="step 2") as info:
+    with pytest.raises(CoefficientError,
+                       match=r"^beta=2 step 2 \(t=0.5\): node triple \(0.0, 1e-14, "
+                             r"0.5\) has step ratio") as info:
         integrate(p, tg, g, 2.0)
     assert isinstance(info.value.__cause__, CoefficientError)
+
+
+def test_integrate_builds_each_steps_weights_once(monkeypatch):
+    # row n - 1 of step_weights is the weights of the triple of the step to
+    # t_{n+1}, and integrate builds each row once: the tracer's coeffs
+    # layer counts M - 1 weight sets per integration
+    p = example1()
+    tg = graded_grid(1.0, 7, 0.75)
+    nodes = tg.nodes.tolist()
+    triples = [(*nodes[n - 1:n + 2], math.pi) for n in range(1, 7)]
+    assert stepper.step_weights(tg, math.pi) == [nonuniform_coeffs(*t) for t in triples]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return nonuniform_coeffs(*args)
+
+    monkeypatch.setattr(stepper, "nonuniform_coeffs", counting)
+    integrate(p, tg, p.space_grid(6, 6), math.pi)
+    assert calls == triples
+
+
+def calls_to(tree, names, function):
+    """Source of every call in ``function`` whose callee is one of ``names``."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == function:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    name = getattr(callee, "id", getattr(callee, "attr", None))
+                    if name in names:
+                        yield ast.unparse(node)
+
+
+def test_step_only_reads_its_weights():
+    # the weights of a step come from step_weights, built once per
+    # integration before the start; the step builds none of its own
+    tree = ast.parse(Path(stepper.__file__).read_text())
+    from_coeffs = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "coeffs"
+                   for alias in node.names}
+    assert "nonuniform_coeffs" in from_coeffs
+    assert list(calls_to(tree, from_coeffs, "bdf_imex_step")) == []
+    # the check sees a call by name and through the module
+    copy = ast.parse("def bdf_imex_step(t, beta):\n"
+                     "    return nonuniform_coeffs(*t, beta), coeffs.uniform_coeffs(beta)\n")
+    assert list(calls_to(copy, from_coeffs, "bdf_imex_step")) == [
+        "nonuniform_coeffs(*t, beta)", "coeffs.uniform_coeffs(beta)"]
 
 
 def nan_source_after(p, t_bad):
