@@ -125,45 +125,46 @@ def _check_doubling(values, label):
     return vals
 
 
-def _sweep(problem, beta, gamma, axis, params, grids, starts, **meta):
-    """Integrate on ``grids(p)``, a (time grid, space grid) pair, for each
-    refinement value p and tabulate the errors against the exact field."""
-    errors = []
+def _sweep(problem, betas, gamma, axis, params, grids, **meta):
+    """One table per beta: integrate every beta on ``grids(p)``, a (time
+    grid, space grid) pair built once for each refinement value p, and
+    tabulate the errors against the exact field. u^1 does not depend on
+    beta, so the first beta starts each pair and the others reuse it."""
+    errors = [[] for _ in betas]
     for p in params:
         tgrid, sgrid = grids(p)
-        u, _ = integrate(problem, tgrid, sgrid, beta, starts)
-        exact = exact_final_field(problem, sgrid, tgrid.T)
-        errors.append((linf_error(u, exact), l2_error(u, exact, sgrid)))
-    meta = {"axis": axis, "example": problem.name, "beta": f"{beta:.12g}",
+        starts = {}
+        for beta, beta_errors in zip(betas, errors):
+            u, _ = integrate(problem, tgrid, sgrid, beta, starts)
+            exact = exact_final_field(problem, sgrid, tgrid.T)
+            beta_errors.append((linf_error(u, exact), l2_error(u, exact, sgrid)))
+    meta = {"axis": axis, "example": problem.name,
             "grid": "uniform" if gamma is None else f"gamma={gamma:g}", **meta}
-    return ConvergenceTable.from_errors(axis, params, errors, meta)
+    return [ConvergenceTable.from_errors(axis, params, beta_errors,
+                                         {**meta, "beta": f"{beta:.12g}"})
+            for beta, beta_errors in zip(betas, errors)]
 
 
-def temporal_sweep(problem: ProblemSpec, beta: float, m_values, nx: int,
-                   ny: int | None = None, gamma: float | None = None,
-                   starts: dict | None = None) -> ConvergenceTable:
-    """Refine the step count M at fixed spatial resolution.
-
-    ``starts`` lets sweeps over several betas share their start levels
-    (see ``integrate``).
-    """
+def temporal_sweep(problem: ProblemSpec, betas, m_values, nx: int,
+                   ny: int | None = None,
+                   gamma: float | None = None) -> list[ConvergenceTable]:
+    """Refine the step count M at fixed spatial resolution, one table per
+    beta in ``betas``."""
     m_values = _check_doubling(m_values, "M")
     ny = nx if ny is None else ny
     sgrid = problem.space_grid(nx, ny)
-    return _sweep(problem, beta, gamma, "temporal", m_values,
-                  lambda m: (time_grid(problem.T, m, gamma), sgrid), starts,
-                  nx=nx, ny=ny)
+    return _sweep(problem, betas, gamma, "temporal", m_values,
+                  lambda m: (time_grid(problem.T, m, gamma), sgrid), nx=nx, ny=ny)
 
 
-def spatial_sweep(problem: ProblemSpec, beta: float, n_values, m_steps: int,
-                  gamma: float | None = None,
-                  starts: dict | None = None) -> ConvergenceTable:
-    """Refine the spatial resolution N = Nx = Ny at fixed step count M.
+def spatial_sweep(problem: ProblemSpec, betas, n_values, m_steps: int,
+                  gamma: float | None = None) -> list[ConvergenceTable]:
+    """Refine the spatial resolution N = Nx = Ny at fixed step count M, one
+    table per beta in ``betas``.
 
     M must be large enough that the temporal error is subdominant.
-    ``starts`` is as in ``temporal_sweep``.
     """
     n_values = _check_doubling(n_values, "N")
     tgrid = time_grid(problem.T, m_steps, gamma)
-    return _sweep(problem, beta, gamma, "spatial", n_values,
-                  lambda n: (tgrid, problem.space_grid(n, n)), starts, m=m_steps)
+    return _sweep(problem, betas, gamma, "spatial", n_values,
+                  lambda n: (tgrid, problem.space_grid(n, n)), m=m_steps)

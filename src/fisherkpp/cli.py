@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import analysis, timegrid
@@ -93,19 +93,15 @@ class RunConfig:
     sweep_n: list[int] | None = None
     betas: list[float] | None = None
     grids: list[float | None] | None = None
-    # keys set by the config file or a flag, so that a subcommand can reject
-    # one it would ignore even when that key has a default
-    given: frozenset[str] = field(default=frozenset(), init=False, compare=False)
 
     def resolved_ny(self) -> int:
         return self.nx if self.ny is None else self.ny
 
     def canonical(self) -> str:
-        # the output path is a venue detail, not part of the experiment
-        # identity, and which keys were given does not change the experiment
+        # the output path is a venue detail, not part of the experiment identity
         parts = []
         for f in fields(self):
-            if f.name in ("output", "given"):
+            if f.name == "output":
                 continue
             parts.append(f"{f.name}={getattr(self, f.name)!r}")
         return "\n".join(parts)
@@ -159,22 +155,36 @@ def read_config_file(path) -> dict:
     return raw
 
 
-def parse_config(file_path=None, overrides=None) -> RunConfig:
-    """Build a validated RunConfig from a file plus flag overrides.
+def parse_config(command: str, file_path=None, overrides=None) -> RunConfig:
+    """Build a validated RunConfig for ``command`` ("run" or "convergence")
+    from a file plus flag overrides.
 
     Collects every violation before failing, so a bad config reports all
-    of its problems at once. Range rules are the library's: each time grid,
-    beta, space grid and (time grid, beta) pair's step weights the command
-    uses is built, and what it rejects is a violation.
+    of its problems at once. A key the command would ignore is a
+    violation and is not read. Range rules are the library's: each time
+    grid, beta, space grid and (time grid, beta) pair's step weights the
+    command runs is built, and what it rejects is a violation.
     """
     raw = read_config_file(file_path) if file_path else {}
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key.lower()] = value
 
-    violations = []
+    # each key the command would ignore, with what ignores it
+    violations, unused = [], {}
+    if command == "run":
+        unused = dict.fromkeys(("sweep_m", "sweep_n", "betas", "grids"), "run")
+    else:
+        if ("sweep_m" in raw) == ("sweep_n" in raw):
+            violations.append("exactly one of sweep_m / sweep_n must be set")
+        elif "sweep_m" in raw:
+            unused["m"] = "a temporal sweep (sweep_m sets M)"
+        else:
+            unused = dict.fromkeys(
+                ("nx", "ny"), "a spatial sweep (sweep_n sets its square grids)")
+        unused.update({key: f"convergence with {keys}" for key, keys
+                       in (("beta", "betas"), ("gamma", "grids")) if keys in raw})
     cfg = RunConfig()
-    cfg.given = frozenset(raw)
     for key, value in raw.items():
         if key in _LOCKED_KEYS:
             violations.append(
@@ -184,6 +194,10 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
             continue
         if key not in _PARSERS:
             violations.append(f"unknown key {key!r}")
+            continue
+        # left at its default, so the builds below check only what runs
+        if key in unused:
+            violations.append(f"key {key!r} is not used by {unused[key]}")
             continue
         try:
             setattr(cfg, key, _PARSERS[key](value))
@@ -228,38 +242,27 @@ def parse_config(file_path=None, overrides=None) -> RunConfig:
     return cfg
 
 
-def _reject_unused(cfg: RunConfig, keys, use: str) -> None:
-    unused = [key for key in keys if key in cfg.given]
-    if unused:
-        raise ConfigError([f"key {key!r} is not used by {use}" for key in unused])
-
-
 def cmd_run(cfg: RunConfig) -> int:
-    _reject_unused(cfg, ("sweep_m", "sweep_n", "betas", "grids"), "run")
     problem = PROBLEMS[cfg.example](T=cfg.t_final)
     sgrid = problem.space_grid(cfg.nx, cfg.resolved_ny())
     tgrid = timegrid.time_grid(cfg.t_final, cfg.m, cfg.gamma)
     header = [f"config={cfg.hash()}"]
 
     u, report = integrate(problem, tgrid, sgrid, cfg.beta)
-    if problem.exact is not None:
-        exact = analysis.exact_final_field(problem, sgrid, tgrid.T)
-        linf = analysis.linf_error(u, exact)
-        l2 = analysis.l2_error(u, exact, sgrid)
+    exact = analysis.exact_final_field(problem, sgrid, tgrid.T)
+    linf = analysis.linf_error(u, exact)
+    l2 = analysis.l2_error(u, exact, sgrid)
     # made only now, so that a run that fails leaves no directory
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
     field_to_csv(u, sgrid, out / "field.csv", header_lines=header)
     report.to_csv(out / "report.csv", header_lines=header)
-    if problem.exact is not None:
-        with open(out / "errors.csv", "w") as fh:
-            fh.write("".join(f"# {line}\n" for line in header))
-            fh.write("Linf,L2\n")
-            fh.write(f"{linf!r},{l2!r}\n")
-        print(f"{cfg.example}: M={tgrid.M} N={cfg.nx}x{cfg.resolved_ny()} "
-              f"beta={cfg.beta:.6g} {tgrid.kind}: Linf={linf:.6e} L2={l2:.6e}")
-    else:
-        print(f"{cfg.example}: run complete (no exact solution; errors skipped)")
+    with open(out / "errors.csv", "w") as fh:
+        fh.write("".join(f"# {line}\n" for line in header))
+        fh.write("Linf,L2\n")
+        fh.write(f"{linf!r},{l2!r}\n")
+    print(f"{cfg.example}: M={tgrid.M} N={cfg.nx}x{cfg.resolved_ny()} "
+          f"beta={cfg.beta:.6g} {tgrid.kind}: Linf={linf:.6e} L2={l2:.6e}")
     return 0
 
 
@@ -275,46 +278,27 @@ def _grid_label(gamma: float | None) -> str:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
-    if (cfg.sweep_m is None) == (cfg.sweep_n is None):
-        raise ConfigError(["exactly one of sweep_m / sweep_n must be set"])
-    if cfg.sweep_m is not None:
-        _reject_unused(cfg, ("m",), "a temporal sweep (sweep_m sets M)")
-    else:
-        _reject_unused(cfg, ("nx", "ny"),
-                       "a spatial sweep (sweep_n sets its square grids)")
-    if cfg.betas is not None:
-        _reject_unused(cfg, ("beta",), "convergence with betas")
-    if cfg.grids is not None:
-        _reject_unused(cfg, ("gamma",), "convergence with grids")
     problem = PROBLEMS[cfg.example](T=cfg.t_final)
     betas = cfg.betas if cfg.betas is not None else [cfg.beta]
     grids = cfg.grids if cfg.grids is not None else [cfg.gamma]
     header = [f"config={cfg.hash()}"]
-    # u^1 does not depend on beta: every beta marches from one start per
-    # grid, matched by the grids' values, not their identity
-    starts, tables = {}, {}
-    for beta in betas:
-        for gamma in grids:
-            if cfg.sweep_m is not None:
-                table = analysis.temporal_sweep(
-                    problem, beta, cfg.sweep_m, cfg.nx, cfg.resolved_ny(),
-                    gamma=gamma, starts=starts,
-                )
-            else:
-                table = analysis.spatial_sweep(
-                    problem, beta, cfg.sweep_n, cfg.m,
-                    gamma=gamma, starts=starts,
-                )
-            tables[f"{table.axis}_beta{_beta_label(beta)}_{_grid_label(gamma)}"] = table
+    # one sweep per grid, each returning a table per beta
+    sweeps = [analysis.temporal_sweep(problem, betas, cfg.sweep_m, cfg.nx,
+                                      cfg.resolved_ny(), gamma=gamma)
+              if cfg.sweep_m is not None else
+              analysis.spatial_sweep(problem, betas, cfg.sweep_n, cfg.m, gamma=gamma)
+              for gamma in grids]
     # made only now, so that a sweep that fails leaves no directory
     out = Path(cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    for stem, table in tables.items():
-        table.write_csv(out / f"{stem}.csv", header_lines=header)
-        table.write_plot_data(out / f"{stem}_plot.csv", header_lines=header)
-        last = table.rows[-1]
-        print(f"{stem}: Linf={last.linf:.4e} order_inf="
-              f"{'-' if last.order_inf is None else f'{last.order_inf:.3f}'}")
+    for beta, tables in zip(betas, zip(*sweeps)):
+        for gamma, table in zip(grids, tables):
+            stem = f"{table.axis}_beta{_beta_label(beta)}_{_grid_label(gamma)}"
+            table.write_csv(out / f"{stem}.csv", header_lines=header)
+            table.write_plot_data(out / f"{stem}_plot.csv", header_lines=header)
+            last = table.rows[-1]
+            print(f"{stem}: Linf={last.linf:.4e} order_inf="
+                  f"{'-' if last.order_inf is None else f'{last.order_inf:.3f}'}")
     return 0
 
 
@@ -414,7 +398,7 @@ def main(argv=None) -> int:
             return cmd_grid(args)
         if args.command == "coeffs":
             return cmd_coeffs(args)
-        cfg = parse_config(args.config, _overrides(args))
+        cfg = parse_config(args.command, args.config, _overrides(args))
         if args.command == "run":
             return cmd_run(cfg)
         return cmd_convergence(cfg)

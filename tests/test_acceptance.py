@@ -160,7 +160,7 @@ def test_criterion_02_temporal_order_graded(ex1_reference, ex1_uniform_tables):
 def test_criterion_03_spatial_order_example1():
     t0 = time.perf_counter()
     p = example1()
-    tables = {label: spatial_sweep(p, SQRT2, [8, 16, 32, 64], 2000, gamma=g)
+    tables = {label: spatial_sweep(p, [SQRT2], [8, 16, 32, 64], 2000, gamma=g)[0]
               for label, g in (("uniform", None), ("gamma=3/4", 0.75))}
     violations = []
     for label, table in tables.items():

@@ -93,7 +93,8 @@ def test_temporal_sweep_synthetic_quadratic_model():
         assert row.order_inf == pytest.approx(2.0, abs=1e-12)
         assert row.order_2 == pytest.approx(2.0, abs=1e-12)
     assert [r.param for r in table.rows] == ms
-    assert temporal_sweep(example1(), 2.0, [4], 4).meta["grid"] == "uniform"
+    table, = temporal_sweep(example1(), [2.0], [4], 4)
+    assert table.meta["grid"] == "uniform"
 
 
 def test_spatial_sweep_synthetic_quadratic_model():
@@ -102,7 +103,7 @@ def test_spatial_sweep_synthetic_quadratic_model():
         "spatial", ns, [(5.0 / n**2, 2.0 / n**2) for n in ns], {})
     for row in table.rows[1:]:
         assert row.order_inf == pytest.approx(2.0, abs=1e-12)
-    table = spatial_sweep(example1(), 2.0, [4], 4, gamma=0.75)
+    table, = spatial_sweep(example1(), [2.0], [4], 4, gamma=0.75)
     assert table.axis == "spatial"
     assert table.meta["grid"] == "gamma=0.75"
 
@@ -111,11 +112,11 @@ def test_sweep_rejects_non_doubling_lists():
     # the lists are checked before any integration starts
     p = example1()
     with pytest.raises(ValueError):
-        temporal_sweep(p, 2.0, [10, 30], 8)
+        temporal_sweep(p, [2.0], [10, 30], 8)
     with pytest.raises(ValueError):
-        spatial_sweep(p, 2.0, [8, 12], 50)
+        spatial_sweep(p, [2.0], [8, 12], 50)
     with pytest.raises(ValueError):
-        temporal_sweep(p, 2.0, [], 8)
+        temporal_sweep(p, [2.0], [], 8)
 
 
 def test_single_row_sweep_has_no_orders():
@@ -126,19 +127,21 @@ def test_single_row_sweep_has_no_orders():
 
 def test_small_real_sweep_is_deterministic():
     p = example1()
-    t1 = temporal_sweep(p, 2.0, [4, 8], 8)
-    t2 = temporal_sweep(p, 2.0, [4, 8], 8)
+    t1, = temporal_sweep(p, [2.0], [4, 8], 8)
+    t2, = temporal_sweep(p, [2.0], [4, 8], 8)
     assert t1.rows == t2.rows
 
 
 def counted_starts(monkeypatch):
-    """Record every start_level call, with whether an integration is open."""
+    """Record every start_level call: its grid and times, whether an
+    integration is open, and the u^1 it returns."""
     calls, open_runs = [], []
     real_start, real_integrate = stepper.start_level, analysis.integrate
 
     def start(problem, sgrid, t0, t1, u0):
-        calls.append(((sgrid.nx, sgrid.ny, t0, t1), bool(open_runs)))
-        return real_start(problem, sgrid, t0, t1, u0)
+        u1, record = real_start(problem, sgrid, t0, t1, u0)
+        calls.append(((sgrid.nx, sgrid.ny, t0, t1), bool(open_runs), u1))
+        return u1, record
 
     def integrate(*args, **kwargs):
         open_runs.append(args)
@@ -156,26 +159,26 @@ BETAS = (math.sqrt(2), 2.0, math.pi)
 
 
 @pytest.mark.parametrize("sweep, refine", [
-    (lambda p, beta, **kw: temporal_sweep(p, beta, [4, 8, 16], 8, gamma=0.75, **kw),
-     "temporal"),
-    (lambda p, beta, **kw: spatial_sweep(p, beta, [4, 8, 16], 6, **kw), "spatial"),
+    (lambda p, betas: temporal_sweep(p, betas, [4, 8, 16], 8, gamma=0.75), "temporal"),
+    (lambda p, betas: spatial_sweep(p, betas, [4, 8, 16], 6), "spatial"),
 ])
 def test_betas_of_a_sweep_share_one_start_per_grid(sweep, refine, tmp_path,
                                                    monkeypatch):
-    # u^1 does not depend on beta: three betas start each of the three
-    # grids once, inside an integration, and every table keeps its bits
+    # u^1 does not depend on beta: one sweep over three betas starts each
+    # of its three grids once, inside an integration, and every table
+    # keeps the bits it has when its beta is swept alone
     p = example1()
-    singles = [sweep(p, beta) for beta in BETAS]
+    singles = [sweep(p, [beta])[0] for beta in BETAS]
     calls = counted_starts(monkeypatch)
-    starts = {}
-    shared = [sweep(p, beta, starts=starts) for beta in BETAS]
-    assert len(calls) == 3 == len(starts)
-    assert len(set(key for key, _ in calls)) == 3
-    assert all(inside for _, inside in calls)
-    for u1, _ in starts.values():
+    shared = sweep(p, list(BETAS))
+    assert len(calls) == 3
+    assert len(set(key for key, _, _ in calls)) == 3
+    assert all(inside for _, inside, _ in calls)
+    for _, _, u1 in calls:
         assert not u1.flags.writeable
         with pytest.raises(ValueError):
             u1[0] = 1.0
+    assert len(shared) == len(BETAS)
     for single, table in zip(singles, shared):
         assert table.axis == refine
         assert table.rows == single.rows

@@ -18,7 +18,7 @@ from fisherkpp.cli import (
 )
 from fisherkpp.coeffs import uniform_coeffs
 from fisherkpp.linsolve import cg_solve
-from fisherkpp.problems import example1
+from fisherkpp.problems import ProblemSpec, example1
 from fisherkpp.timegrid import graded_grid, time_grid
 
 
@@ -79,14 +79,14 @@ def test_dump_commands_reject_non_finite_value(argv, capsys):
 
 
 def test_minimal_config_fills_defaults(tmp_path):
-    cfg = parse_config(write(tmp_path,
+    cfg = parse_config("run", write(tmp_path,
         "example = manufactured\nbeta = 2\nm = 40\nnx = 64\nny = 64\n"))
     assert cfg.gamma is None
     assert cfg.m == 40 and cfg.nx == 64 and cfg.resolved_ny() == 64
 
 
 def test_comments_and_spacing_tolerated(tmp_path):
-    cfg = parse_config(write(tmp_path,
+    cfg = parse_config("run", write(tmp_path,
         "# a comment\n\nbeta = sqrt2  # inline comment\n  m=10\n"))
     assert cfg.beta == math.sqrt(2.0)
     assert cfg.m == 10
@@ -95,25 +95,25 @@ def test_comments_and_spacing_tolerated(tmp_path):
 def test_key_set_twice_rejected_with_both_lines(tmp_path):
     path = write(tmp_path, "m = 10\nnx = 8\n# note\nM = 20\n")
     with pytest.raises(ConfigError) as info:
-        parse_config(path)
+        parse_config("run", path)
     assert info.value.violations == [f"{path}:4: key 'm' already set on line 1"]
 
 
 def test_small_beta_rejected_with_message(tmp_path):
     with pytest.raises(ConfigError) as info:
-        parse_config(write(tmp_path, "beta = 0.5\n"))
+        parse_config("run", write(tmp_path, "beta = 0.5\n"))
     assert any("must exceed 1" in v for v in info.value.violations)
 
 
 def test_gamma_flag_switches_to_graded(tmp_path):
-    cfg = parse_config(write(tmp_path, "beta = 2\nm = 8\n"),
+    cfg = parse_config("run", write(tmp_path, "beta = 2\nm = 8\n"),
                        overrides={"gamma": "0.75"})
     assert cfg.gamma == 0.75
 
 
 def test_all_violations_reported_at_once(tmp_path):
     with pytest.raises(ConfigError) as info:
-        parse_config(write(tmp_path,
+        parse_config("run", write(tmp_path,
             "beta = 0.5\nm = 1\nnx = 1\nwibble = 3\nd = 2\n"))
     text = "\n".join(info.value.violations)
     assert "shift parameter must exceed 1, got beta=0.5" in text
@@ -126,7 +126,7 @@ def test_all_violations_reported_at_once(tmp_path):
 
 def test_flag_overrides_file(tmp_path):
     path = write(tmp_path, "beta = 2\nm = 8\n")
-    cfg = parse_config(path, overrides={"beta": "pi", "m": "16"})
+    cfg = parse_config("run", path, overrides={"beta": "pi", "m": "16"})
     assert cfg.beta == math.pi
     assert cfg.m == 16
 
@@ -238,8 +238,10 @@ def test_sweep_entry_below_its_key_bound_is_config_error(tmp_path, argv,
 
 def test_sweep_entry_violations_collected_with_the_others():
     with pytest.raises(ConfigError) as info:
-        parse_config(overrides={"sweep_m": "1,4", "sweep_n": "8,1", "beta": "1"})
+        parse_config("convergence",
+                     overrides={"sweep_m": "1,4", "sweep_n": "8,1", "beta": "1"})
     assert info.value.violations == [
+        "exactly one of sweep_m / sweep_n must be set",
         "need at least 2 steps (two history levels), got M=1",
         "shift parameter must exceed 1, got beta=1.0",
         "need at least 2 cells per axis, got nx=1, ny=1",
@@ -393,24 +395,62 @@ def test_convergence_tables_of_a_beta_list_equal_single_beta_tables(
             assert got[1:] == want[1:]
 
 
+@pytest.mark.parametrize("axis, builds", [
+    (("--nx", "8", "--sweep-m", "4,8,16"), {"time_grid": 6, "space_grid": 2}),
+    (("-M", "4", "--sweep-n", "4,8,16"), {"time_grid": 2, "space_grid": 6}),
+], ids=["temporal", "spatial"])
+def test_convergence_builds_each_grid_pair_once_for_all_betas(
+        tmp_path, axis, builds, monkeypatch):
+    # three betas on two grid specs: each sweep builds its three refined
+    # grids and its one fixed grid once, not once per beta
+    counts = dict.fromkeys(builds, 0)
+
+    def counted(name, real):
+        def build(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return build
+
+    real_parse = cli.parse_config
+
+    def parse(*args):
+        cfg = real_parse(*args)
+        counts.update(dict.fromkeys(counts, 0))  # the config check's own builds
+        return cfg
+
+    monkeypatch.setattr(analysis, "time_grid", counted("time_grid", analysis.time_grid))
+    monkeypatch.setattr(ProblemSpec, "space_grid",
+                        counted("space_grid", ProblemSpec.space_grid))
+    monkeypatch.setattr(cli, "parse_config", parse)
+    assert run_cli("convergence", *axis, "--grids", "uniform,graded:0.75",
+                   "--betas", "sqrt2,2,pi", "-o", str(tmp_path / "out")) == 0
+    assert counts == builds
+
+
 def test_benchmark_sweep_calls_each_traced_name_once_per_integration(
         tmp_path, monkeypatch):
     # perfbench's mms-sweep-graded command: its tracer wraps these names of
     # fisherkpp.analysis, and its setup_s and cell_steps_per_s come from the
     # wrapped integrations, so a sweep that bypasses them must fail here.
-    # Its three betas share one start per time grid: each sweep builds its
-    # own space grid, and the starts match equal grids by value
+    # Its three betas share one start per grid pair, made inside the first
+    # beta's integration
     names = ("integrate", "exact_final_field", "linf_error", "l2_error")
     calls = dict.fromkeys(names, 0)
+    running = []
     for name in names:
         def counted(*args, _name=name, _real=getattr(analysis, name), **kwargs):
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            running.append(_name)
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                running.pop()
         monkeypatch.setattr(analysis, name, counted)
     real_start = stepper.start_level
     starts = []
 
     def start(*args):
+        assert running == ["integrate"]
         starts.append(args[2:4])
         return real_start(*args)
 
@@ -442,9 +482,10 @@ def test_convergence_rejects_repeated_output_labels(tmp_path, flag, value, key,
 
 def test_repeated_labels_collected_with_the_others():
     with pytest.raises(ConfigError) as info:
-        parse_config(overrides={"betas": "pi,2,pi,2", "grids": "uniform,uniform",
-                                "nx": "1"})
+        parse_config("convergence", overrides={
+            "betas": "pi,2,pi,2", "grids": "uniform,uniform", "nx": "1"})
     assert info.value.violations == [
+        "exactly one of sweep_m / sweep_n must be set",
         "need at least 2 cells per axis, got nx=1, ny=1",
         "key 'betas' repeats the output label 'pi'",
         "key 'betas' repeats the output label '2'",
@@ -652,6 +693,29 @@ def test_run_rejects_sweep_keys(tmp_path, line, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config, argv, violations", [
+    ("betas = 0.5", ("run", "-M", "4"), ["key 'betas' is not used by run"]),
+    ("sweep_m = 4,8", ("run", "--beta", "0.5", "-M", "4"),
+     ["key 'sweep_m' is not used by run",
+      "shift parameter must exceed 1, got beta=0.5"]),
+    (None, ("convergence", "--beta", "0.5", "--betas", "2", "--sweep-m", "4,8",
+            "--sweep-n", "4,8"),
+     ["exactly one of sweep_m / sweep_n must be set",
+      "key 'beta' is not used by convergence with betas"]),
+], ids=["run_ignores_betas", "run_ignores_sweep_m", "convergence_two_axes"])
+def test_key_rules_join_the_collected_violations(tmp_path, config, argv,
+                                                 violations, capsys):
+    # a key the command ignores is reported, never range checked, and
+    # reported with the other violations
+    if config is not None:
+        argv = (*argv, "-c", str(write(tmp_path, config + "\n")))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--nx", "4", "-o", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {v}" for v in violations]
+    assert not out.exists()
+
+
 def test_spatial_sweep_rejects_ny(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("convergence", "--sweep-n", "8,16", "--ny", "32", "-M", "4",
@@ -737,8 +801,7 @@ def test_unknown_example_exits_2(capsys):
 def test_config_hash_stable():
     assert RunConfig().hash() == RunConfig().hash()
     assert RunConfig(beta=2.0).hash() != RunConfig(beta=3.0).hash()
-    # recording which keys were given leaves every hash as it was
     assert RunConfig().hash() == "bdddeac54f4f"
-    assert parse_config(overrides={"nx": "16", "sweep_m": "20,40,80",
-                                   "grids": "graded:0.75",
-                                   "betas": "sqrt2,2,pi"}).hash() == "0a0decf3731c"
+    assert parse_config("convergence", overrides={
+        "nx": "16", "sweep_m": "20,40,80", "grids": "graded:0.75",
+        "betas": "sqrt2,2,pi"}).hash() == "0a0decf3731c"
