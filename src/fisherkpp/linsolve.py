@@ -1,13 +1,17 @@
 """Per-step SPD solves of (sigma*I - kappa*L) x = r.
 
 L is the (negative definite) discrete Laplacian, so the shifted operator
-is symmetric positive definite for sigma > 0, kappa >= 0. The workhorse
-is a matrix-free conjugate gradient iteration that applies the operator
-as one 5-point stencil, with weights sigma + 2 kappa (1/hx^2 + 1/hy^2)
-at the centre and -kappa/hx^2, -kappa/hy^2 at the neighbours, on its own
-buffers; a solve that misses its tolerance raises ``SolveFailure``,
-which stops the run. An exact solve in the sine basis, where the
-operator is diagonal, backs it as an oracle.
+is symmetric positive definite for sigma > 0, kappa >= 0. Two solves
+serve the steps, picked per run by ``stepper.integrate``. A run that
+starts with DP5(4) uses a matrix-free conjugate gradient iteration that
+applies the operator as one 5-point stencil, with weights
+sigma + 2 kappa (1/hx^2 + 1/hy^2) at the centre and -kappa/hx^2,
+-kappa/hy^2 at the neighbours, on its own buffers. A run whose start is
+stiff, and so has loaded the sine transforms for ETDRK4, solves exactly
+in the sine basis, where the operator is diagonal, and checks the
+residual of that solve on the same stencil. Either solve raises
+``SolveFailure`` when it misses CG's tolerance, which stops the run.
+The exact solve is also the tests' oracle.
 """
 
 from __future__ import annotations
@@ -55,6 +59,18 @@ class CGResult:
     residuals: list[float] = field(default_factory=list)
 
 
+def _norm_and_scale(rhs: np.ndarray) -> tuple[float, float]:
+    """The 2-norm of ``rhs``, and the power of two by which a solve scales
+    the system: 2^-e, e the exponent of max|rhs|, when the 2-norm of a
+    finite ``rhs`` overflows, 1.0 otherwise."""
+    # the bits of np.linalg.norm, whose np.dot warns when the sum of
+    # squares overflows; np.vdot does not, so no np.errstate block is needed
+    b_norm = math.sqrt(np.vdot(rhs, rhs))
+    if b_norm == math.inf and np.isfinite(rhs).all():
+        return b_norm, math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max()))[1])
+    return b_norm, 1.0
+
+
 def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
              max_iter: int | None = None, x0: np.ndarray | None = None
              ) -> CGResult:
@@ -92,15 +108,11 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     if max_iter is None:
         max_iter = 10 * (op.grid.nx + op.grid.ny)
 
-    # the bits of np.linalg.norm, whose np.dot warns when the sum of
-    # squares overflows; np.vdot does not, so no np.errstate block is needed
-    b_norm = math.sqrt(np.vdot(rhs, rhs))
-    if b_norm == math.inf and np.isfinite(rhs).all():
-        # the 2-norm of a finite right-hand side overflowed: solve the same
-        # system scaled by 2^-e, e the exponent of max|rhs|. The scale is
-        # exact while sigma and kappa stay normal floats, and the solution
-        # is the same, so x0 stays valid
-        s = math.ldexp(1.0, -math.frexp(float(np.abs(rhs).max()))[1])
+    b_norm, s = _norm_and_scale(rhs)
+    if s != 1.0:
+        # solve the same system scaled: the scale is exact while sigma and
+        # kappa stay normal floats, and the solution is the same, so x0
+        # stays valid
         scaled = cg_solve(ShiftedOperator(op.sigma * s, op.kappa * s, op.grid),
                           rhs * s, tol, max_iter, x0)
         scaled.residuals = [r / s for r in scaled.residuals]
@@ -153,10 +165,51 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
 def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> np.ndarray:
     """Exact solve on any grid: sigma - kappa * lam divides each sine mode.
 
+    Every step of a run whose start is stiff solves with it (see
+    ``stepper.integrate``), and the tests take it as their oracle. A
+    finite right-hand side whose 2-norm overflows is solved scaled by
+    2^-e, e the exponent of max|rhs|, as ``cg_solve`` scales it, and the
+    solution is scaled back: the transforms would overflow to NaN.
+
     The name is older than the method: ``perfbench/tracer.py`` wraps
     ``fisherkpp.stepper.direct_solve_small`` by name, so it stays until
     that binding goes.
     """
     rhs = check_field(rhs, op.grid)
+    _, s = _norm_and_scale(rhs)
+    if s != 1.0:
+        return direct_solve_small(op, rhs * s) / s
     shift = op.sigma - op.kappa * op.grid.laplacian_eigenvalues
     return from_sine(to_sine(rhs, op.grid) / shift, op.grid)
+
+
+def sine_result(op: ShiftedOperator, rhs: np.ndarray, x: np.ndarray) -> CGResult:
+    """``x``, a sine-basis solve of op x = rhs, checked to CG's tolerance.
+
+    Returns a ``CGResult`` of 0 iterations whose one residual is
+    ||rhs - op x||_2, run on the operator's own stencil plan, as CG takes
+    its initial residual. A finite right-hand side whose 2-norm overflows
+    is checked on the system scaled as ``cg_solve`` scales it.
+
+    Raises
+    ------
+    SolveFailure
+        If the residual is not finite or exceeds 1e-10 ||rhs||_2, the
+        default tolerance of ``cg_solve``.
+    """
+    rhs = check_field(rhs, op.grid)
+    b_norm, s = _norm_and_scale(rhs)
+    if s != 1.0:
+        scaled = sine_result(ShiftedOperator(op.sigma * s, op.kappa * s, op.grid),
+                             rhs * s, x)
+        scaled.residuals = [r / s for r in scaled.residuals]
+        return scaled
+    out, work = np.empty_like(rhs), np.empty_like(rhs)
+    r = rhs - _stencil(_laplacian_plan(x, op.grid, out, work, op.sigma, op.kappa))
+    res = math.sqrt(np.vdot(r, r))
+    if not math.isfinite(res):
+        raise SolveFailure("sine-basis solve residual is not finite")
+    if not res <= 1e-10 * b_norm:
+        raise SolveFailure(f"sine-basis solve missed relative residual 1e-10: "
+                           f"{res / b_norm:.3e}")
+    return CGResult(x=x, iterations=0, residuals=[res])

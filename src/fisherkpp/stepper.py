@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# uniform_coeffs and direct_solve_small are unused here but stay bound:
-# perfbench/tracer.py wraps fisherkpp.stepper.uniform_coeffs and
-# fisherkpp.stepper.direct_solve_small by name
+# uniform_coeffs is unused here but stays bound: perfbench/tracer.py
+# wraps fisherkpp.stepper.uniform_coeffs by name
 from .coeffs import CoefficientError, StepCoefficients, nonuniform_coeffs
 from .coeffs import uniform_coeffs  # noqa: F401
-from .linsolve import CGResult, ShiftedOperator, cg_solve, direct_solve_small  # noqa: F401
+from .linsolve import (CGResult, ShiftedOperator, cg_solve, direct_solve_small,
+                       sine_result)
 from .problems import ProblemSpec, f_eval, source_at_shifted_time
 from .spatial import (
     SpaceGrid,
@@ -420,15 +420,18 @@ def step_weights(tgrid: TimeGrid, beta: float) -> list[StepCoefficients]:
 
 def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, coeffs: StepCoefficients,
                   liftings: tuple[np.ndarray, np.ndarray], problem: ProblemSpec,
-                  sgrid: SpaceGrid) -> tuple[np.ndarray, CGResult]:
+                  sgrid: SpaceGrid, sine: bool) -> tuple[np.ndarray, CGResult]:
     """One implicit-explicit step from t_n to t_{n+1}.
 
     ``coeffs`` are the step's weights and shifted time t*, its row of
     ``step_weights``. ``liftings`` holds the Dirichlet liftings bc_n and
     bc_{n+1} at t_n and t_{n+1}, which the step reads and never writes.
     A problem without a source adds no source term. Returns u^{n+1} and
-    the CG result of its solve, warm-started from u^n at the default
-    tolerance of ``cg_solve``.
+    the result of its solve. With ``sine`` the solve is exact in the sine
+    basis, ``direct_solve_small``, and its result is ``sine_result``'s:
+    0 iterations and the residual, checked to CG's tolerance. Otherwise
+    it is CG's, warm-started from u^n at the default tolerance of
+    ``cg_solve``.
     """
     bc_curr, bc_next = liftings
     a0, a1, a2 = coeffs.a
@@ -444,6 +447,9 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, coeffs: StepCoefficien
         rhs += source_at_shifted_time(problem, coeffs.t_eval, sgrid)
 
     op = ShiftedOperator(sigma=a2, kappa=D * b1, grid=sgrid)
+    if sine:
+        x = direct_solve_small(op, rhs)
+        return x, sine_result(op, rhs, x)
     result = cg_solve(op, rhs, x0=u_curr)
     return result.x, result
 
@@ -463,6 +469,12 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
         a sweep: u^1 does not depend on beta. Maps (problem, sgrid, t0,
         t1) to ``start_level``'s (u^1, record), u^1 read-only. A start
         that is missing is computed here and stored.
+
+    Every step of a run whose start is stiff, the ETDRK4 side of
+    ``start_level``, solves exactly in the sine basis, whose transforms the
+    start has loaded; every step of a run that starts with DP5(4) solves
+    with CG, which loads no scipy. A sine step reports 0 CG iterations
+    and the residual ||rhs - op x||_2 of its solve.
 
     Returns
     -------
@@ -491,6 +503,7 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
             u_curr.setflags(write=False)
             starts[key] = u_curr, starter
 
+    sine = start_stiffness(problem, sgrid, nodes[0], nodes[1]) > ETD_STIFFNESS
     report = RunReport(starter)
     # each step hands its t_{n+1} lifting on to the next as its t_n one
     bc_next = boundary_contribution(problem.boundary, nodes[1], sgrid)
@@ -500,7 +513,7 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
             bc_curr = bc_next
             bc_next = boundary_contribution(problem.boundary, nodes[n + 1], sgrid)
             u_next, solve = bdf_imex_step(u_prev, u_curr, weights[n - 1],
-                                          (bc_curr, bc_next), problem, sgrid)
+                                          (bc_curr, bc_next), problem, sgrid, sine)
             if not np.isfinite(u_next).all():
                 raise FloatingPointError("the new field is not finite")
         except Exception as exc:

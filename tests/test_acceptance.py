@@ -267,19 +267,24 @@ def test_criterion_06_discretization_oracle(monkeypatch):
             u_curr = eval_interior(p.exact, g, t=t_curr)
             liftings = (boundary_contribution(p.boundary, t_curr, g),
                         boundary_contribution(p.boundary, t_next, g))
-            u_next, _ = bdf_imex_step(
-                u_prev, u_curr, nonuniform_coeffs(t_prev, t_curr, t_next, 2.0),
-                liftings, p, g)
             oracle = dense_step_oracle(p, g, t_prev, t_curr, t_next, 2.0,
                                        u_prev, u_curr)
-            gap = np.abs(u_next - oracle).max()
-            worst = max(worst, gap)
-            if gap > 1e-11:
-                violations.append(
-                    f"{p.name}/{path}: max gap {gap:.2e} > 1e-11")
+            for sine, solve in ((False, "cg"), (True, "sine")):
+                u_next, result = bdf_imex_step(
+                    u_prev, u_curr, nonuniform_coeffs(t_prev, t_curr, t_next, 2.0),
+                    liftings, p, g, sine)
+                if (result.iterations == 0) != sine:
+                    violations.append(f"{p.name}/{path}/{solve}: "
+                                      f"{result.iterations} CG iterations")
+                gap = np.abs(u_next - oracle).max()
+                worst = max(worst, gap)
+                if gap > 1e-11:
+                    violations.append(
+                        f"{p.name}/{path}/{solve}: max gap {gap:.2e} > 1e-11")
     report(6, violations, time.perf_counter() - t0,
-           "one CG step (tol 1e-12) against the dense oracle on a uniform "
-           f"and a nonuniform step, worst gap {worst:.1e}")
+           "one step with CG (tol 1e-12) and one with the sine-basis solve "
+           "against the dense oracle on a uniform and a nonuniform step, "
+           f"worst gap {worst:.1e}")
 
 
 def test_criterion_07_linear_solver_oracle():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fisherkpp.linsolve import (
     SolveFailure,
     cg_solve,
     direct_solve_small,
+    sine_result,
 )
 from fisherkpp.coeffs import nonuniform_coeffs
 from fisherkpp.problems import example1, example2
@@ -194,6 +197,44 @@ def test_finite_rhs_whose_norm_overflows_keeps_the_iterates():
     assert got.iterations == want.iterations > 1
     assert np.array_equal(got.x, want.x)
     assert got.residuals == [r * big for r in want.residuals]
+
+
+def test_direct_solve_scales_a_right_hand_side_whose_norm_overflows():
+    # every entry 1e308 on an 8x8 grid: the 2-norm overflows and the
+    # unscaled transforms return NaN. The solve scales the system by 2^-e,
+    # e the exponent of max|rhs|, as CG does, and scales the solution back
+    op = operator(8)
+    rhs = np.full(op.grid.n_interior, 1e308)
+    s = 2.0 ** -math.frexp(1e308)[1]
+    x = direct_solve_small(op, rhs)
+    assert np.isfinite(x).all()
+    assert np.array_equal(x, direct_solve_small(op, rhs * s) / s)
+    cg = cg_solve(op, rhs)
+    assert cg.iterations == 9
+    assert np.abs(x - cg.x).max() <= 1e-9 * np.abs(x).max()
+    # the residual check scales alike and reports the unscaled residual
+    (res,) = sine_result(op, rhs, x).residuals
+    assert math.isfinite(res) and res * s <= 1e-10 * np.linalg.norm(rhs * s)
+
+
+def test_sine_result_checks_the_solve_to_cgs_tolerance():
+    rng = np.random.default_rng(20)
+    op = operator(9)
+    rhs = rng.standard_normal(op.grid.n_interior)
+    x = direct_solve_small(op, rhs)
+    out = sine_result(op, rhs, x)
+    assert out.x is x and out.iterations == 0
+    (res,) = out.residuals
+    assert res <= 1e-13 * np.linalg.norm(rhs)
+    dense = np.linalg.norm(rhs - dense_operator(op) @ x)
+    assert abs(res - dense) <= 1e-14 * np.linalg.norm(rhs)
+    with pytest.raises(SolveFailure, match=r"missed relative residual 1e-10: \S+"):
+        sine_result(op, rhs, x * (1.0 + 1e-6))
+    bad = x.copy()
+    bad[4] = np.nan
+    with pytest.raises(SolveFailure, match="residual is not finite"):
+        sine_result(op, rhs, bad)
+    assert sine_result(op, np.zeros_like(rhs), np.zeros_like(rhs)).residuals == [0.0]
 
 
 def test_deterministic_given_same_inputs():

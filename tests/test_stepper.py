@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import math
 from functools import partial
 from pathlib import Path
@@ -427,12 +428,13 @@ def test_etd_starter_reports_the_measured_estimate_when_the_jump_is_capped(monke
 
 # ------------------------------------------------------------ bdf_imex_step
 
-def step(u_prev, u_curr, nodes, beta, p, g):
+def step(u_prev, u_curr, nodes, beta, p, g, sine):
     """``bdf_imex_step`` over the node triple ``nodes``: its weights and
-    both liftings are built here, as ``integrate`` builds them."""
+    both liftings are built here, as ``integrate`` builds them. ``sine``
+    picks the solve, as ``integrate`` picks it from the start's stiffness."""
     liftings = tuple(boundary_contribution(p.boundary, t, g) for t in nodes[1:])
     return bdf_imex_step(u_prev, u_curr, nonuniform_coeffs(*nodes, beta), liftings,
-                         p, g)
+                         p, g, sine)
 
 
 def test_step_keeps_rest_state():
@@ -441,9 +443,10 @@ def test_step_keeps_rest_state():
     g = p.space_grid(7, 7)
     tg = uniform_grid(1.0, 10)
     z = np.zeros(g.n_interior)
-    u2, solve = step(z, z, tg.nodes[:3], 2.0, p, g)
-    assert np.all(u2 == 0.0)
-    assert solve.iterations == 0
+    for sine in (False, True):
+        u2, solve = step(z, z, tg.nodes[:3], 2.0, p, g, sine)
+        assert np.all(u2 == 0.0)
+        assert solve.iterations == 0 and solve.residuals == [0.0]
 
 
 def test_step_pure_extrapolation_limit():
@@ -458,16 +461,18 @@ def test_step_pure_extrapolation_limit():
     rng = np.random.default_rng(3)
     u_prev = rng.standard_normal(g.n_interior)
     u_curr = rng.standard_normal(g.n_interior)
-    u_next, _ = step(u_prev, u_curr, tg.nodes[:3], 1.9, p, g)
     a0, a1, a2 = nonuniform_coeffs(*tg.nodes[:3], 1.9).a
-    np.testing.assert_allclose(u_next, -(a1 * u_curr + a0 * u_prev) / a2,
-                               rtol=1e-10)
+    for sine in (False, True):
+        u_next, _ = step(u_prev, u_curr, tg.nodes[:3], 1.9, p, g, sine)
+        np.testing.assert_allclose(u_next, -(a1 * u_curr + a0 * u_prev) / a2,
+                                   rtol=1e-10)
 
 
 def test_step_reproduces_quadratic_in_time_linear_in_space(monkeypatch):
     # space-linear, time-quadratic exact solution of u_t = lap(u) + g with
     # K = 0: every piece of the step is exact, so the solve must return the
-    # exact next level (time-dependent boundary lifting included)
+    # exact next level (time-dependent boundary lifting included); CG
+    # iterates, the sine solve takes none
     def u_exact(x, y, t):
         return (1.0 + 2.0 * x + 3.0 * y) * (0.4 * t * t - 0.7 * t + 0.2)
 
@@ -482,12 +487,13 @@ def test_step_reproduces_quadratic_in_time_linear_in_space(monkeypatch):
     g = p.space_grid(9, 8)
     nodes = np.array([0.0, 0.07, 0.15, 0.26, 0.5, 0.75, 1.0])
     monkeypatch.setattr(stepper, "cg_solve", partial(cg_solve, tol=1e-13))
-    for n in (1, 3):
-        u_next, _ = step(
+    for n, sine in itertools.product((1, 3), (False, True)):
+        u_next, solve = step(
             eval_interior(p.exact, g, t=nodes[n - 1]),
             eval_interior(p.exact, g, t=nodes[n]),
-            nodes[n - 1:n + 2], 2.3, p, g,
+            nodes[n - 1:n + 2], 2.3, p, g, sine,
         )
+        assert (solve.iterations == 0) == sine
         np.testing.assert_allclose(
             u_next, eval_interior(p.exact, g, t=nodes[n + 1]), atol=2e-11)
 
@@ -515,7 +521,7 @@ def test_step_matches_allocating_reference(example, nx, ny, monkeypatch):
     for nodes, beta in (((0.1, 0.13, 0.17), math.sqrt(2)),
                         ((0.5, 0.6, 0.7), 2.0), ((0.0, 0.02, 0.09), math.pi)):
         u_prev, u_curr = rng.uniform(0.0, 1.0, (2, g.n_interior))
-        u_next, solve = step(u_prev, u_curr, nodes, beta, p, g)
+        u_next, solve = step(u_prev, u_curr, nodes, beta, p, g, sine=False)
         rhs, sigma, kappa = step_rhs_allocating(p, g, *nodes, beta, u_prev, u_curr)
         op, step_rhs = solves.pop()
         assert np.array_equal(step_rhs, rhs)
@@ -548,7 +554,7 @@ def test_step_runs_the_stencil_twice_besides_cg_iterations(monkeypatch):
     rng = np.random.default_rng(5)
     u_prev, u_curr = rng.uniform(0.0, 1.0, (2, g.n_interior))
     before = u_prev.copy(), u_curr.copy()
-    _, solve = step(u_prev, u_curr, (0.1, 0.13, 0.17), 2.0, p, g)
+    _, solve = step(u_prev, u_curr, (0.1, 0.13, 0.17), 2.0, p, g, sine=False)
     assert solve.iterations > 0
     assert len(runs) == solve.iterations + 2
     (kwargs,) = given
@@ -569,20 +575,24 @@ BENCHMARK_RUNS = [
 def test_folded_operator_keeps_every_steps_iterations(example, n, m, gamma, beta,
                                                       monkeypatch):
     # CG's stencil weights sigma + 2 kappa (ax + ay), -kappa ax, -kappa ay
-    # round otherwise than sigma v - kappa (L v); on these runs that must
-    # change no step's iteration count, and the fields only at rounding level
+    # round otherwise than sigma v - kappa (L v); on these runs, which all
+    # start with DP5(4) and solve with CG, that must change no step's
+    # iteration count, and the fields only at rounding level
     p = example()
     g = p.space_grid(n, n)
     tg = graded_grid(p.T, m, gamma)
     u, report = integrate(p, tg, g, beta)
+    calls = []
 
     def unfolded_cg(op, rhs, x0):
+        calls.append(op)
         x, iterations, history = cg_allocating(op.sigma, op.kappa, op.grid, rhs, x0,
                                                operator=unfolded_operator_slices)
         return CGResult(x=x, iterations=iterations, residuals=history)
 
     monkeypatch.setattr(stepper, "cg_solve", unfolded_cg)
     u_ref, ref = integrate(p, tg, g, beta)
+    assert len(calls) == m - 1
     assert [s.cg_iters for s in report.steps] == [s.cg_iters for s in ref.steps]
     assert np.abs(u - u_ref).max() <= 1e-12
 
@@ -688,18 +698,90 @@ def test_integrate_evaluates_each_lifting_once(monkeypatch):
         return starts[-1]
 
     monkeypatch.setattr(stepper, "start_level", start_then_count)
-    u, _ = integrate(p, tg, g, math.pi)
+    u, report = integrate(p, tg, g, math.pi)
     assert times == list(nodes[1:])
     monkeypatch.setattr(stepper, "boundary_contribution", real_lifting)
+    # the run starts with DP5(4), so its steps solve with CG
+    assert report.starter.method == "dp54"
     u_prev, u_curr = eval_interior(p.initial, g), starts[0][0]
     for n in range(1, tg.M):
-        u_next, _ = step(u_prev, u_curr, nodes[n - 1:n + 2], math.pi, p, g)
+        u_next, _ = step(u_prev, u_curr, nodes[n - 1:n + 2], math.pi, p, g,
+                         sine=False)
         u_prev, u_curr = u_curr, u_next
     assert np.array_equal(u, u_curr)
 
 
+def stiff_run():
+    """The benchmark's mms-starter run, manufactured at N = 48 and M = 6,
+    whose start is stiff."""
+    p = example1()
+    g = p.space_grid(48, 48)
+    tg = uniform_grid(1.0, 6)
+    assert start_stiffness(p, g, 0.0, tg.nodes[1]) > ETD_STIFFNESS
+    return p, g, tg
+
+
+def test_stiff_run_solves_every_step_in_the_sine_basis(monkeypatch):
+    p, g, tg = stiff_run()
+    rhs_norms = []
+
+    def cg_must_not_run(*args, **kwargs):
+        raise AssertionError("cg_solve was called")
+
+    def recording(op, rhs):
+        rhs_norms.append(np.linalg.norm(rhs))
+        return direct_solve_small(op, rhs)
+
+    monkeypatch.setattr(stepper, "cg_solve", cg_must_not_run)
+    monkeypatch.setattr(stepper, "direct_solve_small", recording)
+    _, report = integrate(p, tg, g, 2.0)
+    assert report.starter.method == "etdrk4"
+    assert len(rhs_norms) == tg.M - 1
+    assert [s.cg_iters for s in report.steps] == [0] * (tg.M - 1)
+    for s, b_norm in zip(report.steps, rhs_norms):
+        assert 0.0 < s.residual <= 1e-10 * b_norm
+
+
+def test_dp54_run_makes_no_sine_solve(monkeypatch):
+    p = example2()
+    g = p.space_grid(16, 16)
+    tg = uniform_grid(1.0, 6)
+    calls = []
+
+    def sine_must_not_run(*args):
+        raise AssertionError("direct_solve_small was called")
+
+    def counting(op, rhs, **kwargs):
+        calls.append(op)
+        return cg_solve(op, rhs, **kwargs)
+
+    monkeypatch.setattr(stepper, "direct_solve_small", sine_must_not_run)
+    monkeypatch.setattr(stepper, "cg_solve", counting)
+    _, report = integrate(p, tg, g, 2.0)
+    assert report.starter.method == "dp54"
+    assert len(calls) == tg.M - 1
+    assert all(s.cg_iters > 0 for s in report.steps)
+
+
+def test_stiff_run_agrees_with_the_run_forced_through_cg(monkeypatch):
+    # CG at tol 1e-14 leaves a relative error of at most cond * 1e-14 a
+    # step, and cond is 197 for each of these steps' operators: the bound
+    # is that error summed over the five steps, on a field of max 0.82.
+    # The gap measured on this run is 1.9e-15
+    p, g, tg = stiff_run()
+    u, _ = integrate(p, tg, g, 2.0)
+    real_step = stepper.bdf_imex_step
+    monkeypatch.setattr(stepper, "bdf_imex_step",
+                        lambda *args: real_step(*args[:-1], False))
+    monkeypatch.setattr(stepper, "cg_solve", partial(cg_solve, tol=1e-14))
+    u_cg, report = integrate(p, tg, g, 2.0)
+    assert min(s.cg_iters for s in report.steps) > 0
+    assert np.abs(u - u_cg).max() <= 5 * 197 * 1e-14
+
+
 def test_integrate_reports_failing_step(monkeypatch):
-    # CG capped at one iteration cannot meet the tolerance on the first step
+    # CG capped at one iteration cannot meet the tolerance on the first
+    # step of this run, which starts with DP5(4) and so solves with CG
     monkeypatch.setattr(stepper, "cg_solve", partial(cg_solve, max_iter=1))
     p = example1()
     g = p.space_grid(16, 16)
@@ -707,6 +789,21 @@ def test_integrate_reports_failing_step(monkeypatch):
     with pytest.raises(RuntimeError, match="step 2") as info:
         integrate(p, tg, g, 2.0)
     assert isinstance(info.value.__cause__, SolveFailure)
+    assert str(info.value.__cause__).startswith("CG stalled")
+
+
+def test_integrate_reports_failing_sine_step(monkeypatch):
+    # a sine-basis solution off by a relative 1e-6 misses CG's tolerance,
+    # and the residual check stops the run at its first step
+    def inexact(op, rhs):
+        return direct_solve_small(op, rhs) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(stepper, "direct_solve_small", inexact)
+    p, g, tg = stiff_run()
+    with pytest.raises(RuntimeError, match=r"^step 2 \(t=0.333333\) failed$") as info:
+        integrate(p, tg, g, 2.0)
+    assert isinstance(info.value.__cause__, SolveFailure)
+    assert "missed relative residual 1e-10" in str(info.value.__cause__)
 
 
 def test_integrate_names_step_of_bad_coefficients(monkeypatch):
@@ -783,18 +880,36 @@ def nan_source_after(p, t_bad):
 
 
 def test_integrate_stops_when_solve_meets_nan():
-    # t* of step 4 on M = 8 with beta = 2 is 0.625, the first past 0.5
+    # t* of step 4 on M = 8 with beta = 2 is 0.625, the first past 0.5;
+    # the run starts with DP5(4), so CG meets the NaN
     p = nan_source_after(example1(), 0.5)
     g = p.space_grid(8, 8)
     with pytest.raises(RuntimeError, match=r"step 4 \(t=0.5\)") as info:
         integrate(p, uniform_grid(1.0, 8), g, 2.0)
     assert isinstance(info.value.__cause__, SolveFailure)
+    assert str(info.value.__cause__).startswith("CG ")
+
+
+def test_integrate_stops_when_sine_solve_meets_nan():
+    # as above on a 32 x 32 grid, whose start is stiff: the ETDRK4 start
+    # samples the source up to t = 0.125 only, and the sine solve of step 4
+    # passes the NaN on to its residual check
+    p = nan_source_after(example1(), 0.5)
+    g = p.space_grid(32, 32)
+    assert start_stiffness(p, g, 0.0, 0.125) > ETD_STIFFNESS
+    with pytest.raises(RuntimeError, match=r"^step 4 \(t=0.5\) failed$") as info:
+        integrate(p, uniform_grid(1.0, 8), g, 2.0)
+    assert isinstance(info.value.__cause__, SolveFailure)
+    assert str(info.value.__cause__) == "sine-basis solve residual is not finite"
 
 
 def test_integrate_stops_on_non_finite_field(monkeypatch):
-    # a solve that passes NaN through, as the exact sine-basis solve
-    # does; the step's check must stop it
+    # a solve that passes NaN through unchecked; the step's check must stop
+    # it. The run starts with DP5(4), so every step calls the patched CG
+    calls = []
+
     def exact_solve(op, rhs, **kw):
+        calls.append(op)
         return CGResult(x=direct_solve_small(op, rhs), iterations=0,
                         residuals=[0.0])
 
@@ -803,6 +918,7 @@ def test_integrate_stops_on_non_finite_field(monkeypatch):
     g = p.space_grid(8, 8)
     with pytest.raises(RuntimeError, match=r"step 4 \(t=0.5\)") as info:
         integrate(p, uniform_grid(1.0, 8), g, 2.0)
+    assert len(calls) == 3
     assert "not finite" in str(info.value.__cause__)
 
 
