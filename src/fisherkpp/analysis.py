@@ -71,11 +71,13 @@ class ConvergenceTable:
     @classmethod
     def from_errors(cls, axis: str, params, errors, meta: dict) -> ConvergenceTable:
         """Rows from ``errors``, one (Linf, L2) pair per param; each row
-        after the first has its observed orders against the one before."""
-        rows, prev = [], None
+        after the first has its observed orders against the one before. An
+        order stays blank, as on the first row, where either of its two
+        errors is 0: the ratio is undefined."""
+        rows, prev = [], (None, None)
         for p, (linf, l2) in zip(params, errors):
-            orders = () if prev is None else (observed_order(prev[0], linf),
-                                              observed_order(prev[1], l2))
+            orders = [None if a is None or 0.0 in (a, b) else observed_order(a, b)
+                      for a, b in zip(prev, (linf, l2))]
             rows.append(ConvergenceRow(p, linf, l2, *orders))
             prev = linf, l2
         return cls(axis, rows, meta)
@@ -93,8 +95,13 @@ class ConvergenceTable:
                 fh.write(f"{r.param},{r.linf!r},{oi},{r.l2!r},{o2}\n")
 
     def write_plot_data(self, path, header_lines=()) -> None:
-        """log2(param) vs log10(error) series plus a slope-2 reference."""
+        """log2(param) vs log10(error) series plus a slope-2 reference; an
+        error of 0 writes -inf."""
         anchor = self.rows[0]
+
+        def log10(v):
+            return math.log10(v) if v > 0.0 else -math.inf
+
         with open(path, "w") as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
@@ -102,8 +109,8 @@ class ConvergenceTable:
             for r in self.rows:
                 ref = anchor.linf * (anchor.param / r.param) ** 2
                 fh.write(
-                    f"{math.log2(r.param):.6f},{math.log10(r.linf):.8f},"
-                    f"{math.log10(r.l2):.8f},{math.log10(ref):.8f}\n"
+                    f"{math.log2(r.param):.6f},{log10(r.linf):.8f},"
+                    f"{log10(r.l2):.8f},{log10(ref):.8f}\n"
                 )
 
 

@@ -2,15 +2,16 @@
 
 L is the (negative definite) discrete Laplacian, so the shifted operator
 is symmetric positive definite for sigma > 0, kappa >= 0. Two solves
-serve the steps, picked per run by ``stepper.integrate``. A run that
-starts with DP5(4) uses a matrix-free conjugate gradient iteration that
-applies the operator as one 5-point stencil, with weights
-sigma + 2 kappa (1/hx^2 + 1/hy^2) at the centre and -kappa/hx^2,
--kappa/hy^2 at the neighbours, on its own buffers. A run whose start is
-stiff, and so has loaded the sine transforms for ETDRK4, solves exactly
-in the sine basis, where the operator is diagonal, and checks the
-residual of that solve on the same stencil. Either solve raises
-``SolveFailure`` when it misses CG's tolerance, which stops the run.
+serve the steps, picked per run by ``stepper.integrate`` from the
+starter its start ran. A run that starts with DP5(4) uses a matrix-free
+conjugate gradient iteration that applies the operator as one 5-point
+stencil, with weights sigma + 2 kappa (1/hx^2 + 1/hy^2) at the centre
+and -kappa/hx^2, -kappa/hy^2 at the neighbours, on its own buffers. A
+run that starts with ETDRK4, and so has loaded the sine transforms,
+solves with ``direct_solve_small``: one call that solves exactly in the
+sine basis, where the operator is diagonal, and checks the residual of
+that solve on the same stencil. Both return a ``CGResult`` and raise
+``SolveFailure`` when they miss CG's tolerance, which stops the run.
 The exact solve is also the tests' oracle.
 """
 
@@ -162,48 +163,38 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     return CGResult(x=x, iterations=k, residuals=history)
 
 
-def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> np.ndarray:
-    """Exact solve on any grid: sigma - kappa * lam divides each sine mode.
+def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> CGResult:
+    """Exact solve on any grid, checked to CG's tolerance.
 
-    Every step of a run whose start is stiff solves with it (see
-    ``stepper.integrate``), and the tests take it as their oracle. A
-    finite right-hand side whose 2-norm overflows is solved scaled by
-    2^-e, e the exponent of max|rhs|, as ``cg_solve`` scales it, and the
-    solution is scaled back: the transforms would overflow to NaN.
-
-    The name is older than the method: ``perfbench/tracer.py`` wraps
-    ``fisherkpp.stepper.direct_solve_small`` by name, so it stays until
-    that binding goes.
-    """
-    rhs = check_field(rhs, op.grid)
-    _, s = _norm_and_scale(rhs)
-    if s != 1.0:
-        return direct_solve_small(op, rhs * s) / s
-    shift = op.sigma - op.kappa * op.grid.laplacian_eigenvalues
-    return from_sine(to_sine(rhs, op.grid) / shift, op.grid)
-
-
-def sine_result(op: ShiftedOperator, rhs: np.ndarray, x: np.ndarray) -> CGResult:
-    """``x``, a sine-basis solve of op x = rhs, checked to CG's tolerance.
+    sigma - kappa * lam divides each sine mode. Every step of a run whose
+    start ran ETDRK4 solves with it (see ``stepper.integrate``), and the
+    tests take it as their oracle. A finite right-hand side whose 2-norm
+    overflows is solved scaled by 2^-e, e the exponent of max|rhs|, as
+    ``cg_solve`` scales it, and the solution and its residual are scaled
+    back: the transforms would overflow to NaN.
 
     Returns a ``CGResult`` of 0 iterations whose one residual is
     ||rhs - op x||_2, run on the operator's own stencil plan, as CG takes
-    its initial residual. A finite right-hand side whose 2-norm overflows
-    is checked on the system scaled as ``cg_solve`` scales it.
+    its initial residual.
 
     Raises
     ------
     SolveFailure
         If the residual is not finite or exceeds 1e-10 ||rhs||_2, the
         default tolerance of ``cg_solve``.
+
+    The name is older than the method: ``perfbench/tracer.py`` wraps
+    ``fisherkpp.stepper.direct_solve_small`` by name, so it stays until
+    that binding goes.
     """
     rhs = check_field(rhs, op.grid)
     b_norm, s = _norm_and_scale(rhs)
     if s != 1.0:
-        scaled = sine_result(ShiftedOperator(op.sigma * s, op.kappa * s, op.grid),
-                             rhs * s, x)
-        scaled.residuals = [r / s for r in scaled.residuals]
-        return scaled
+        scaled = direct_solve_small(op, rhs * s)
+        return CGResult(x=scaled.x / s, iterations=0,
+                        residuals=[scaled.residuals[0] / s])
+    shift = op.sigma - op.kappa * op.grid.laplacian_eigenvalues
+    x = from_sine(to_sine(rhs, op.grid) / shift, op.grid)
     out, work = np.empty_like(rhs), np.empty_like(rhs)
     r = rhs - _stencil(_laplacian_plan(x, op.grid, out, work, op.sigma, op.kappa))
     res = math.sqrt(np.vdot(r, r))

@@ -28,8 +28,7 @@ import numpy as np
 # wraps fisherkpp.stepper.uniform_coeffs by name
 from .coeffs import CoefficientError, StepCoefficients, nonuniform_coeffs
 from .coeffs import uniform_coeffs  # noqa: F401
-from .linsolve import (CGResult, ShiftedOperator, cg_solve, direct_solve_small,
-                       sine_result)
+from .linsolve import CGResult, ShiftedOperator, cg_solve, direct_solve_small
 from .problems import ProblemSpec, f_eval, source_at_shifted_time
 from .spatial import (
     SpaceGrid,
@@ -427,11 +426,10 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, coeffs: StepCoefficien
     ``step_weights``. ``liftings`` holds the Dirichlet liftings bc_n and
     bc_{n+1} at t_n and t_{n+1}, which the step reads and never writes.
     A problem without a source adds no source term. Returns u^{n+1} and
-    the result of its solve. With ``sine`` the solve is exact in the sine
-    basis, ``direct_solve_small``, and its result is ``sine_result``'s:
-    0 iterations and the residual, checked to CG's tolerance. Otherwise
-    it is CG's, warm-started from u^n at the default tolerance of
-    ``cg_solve``.
+    the result of its one solve call. With ``sine`` that call is
+    ``direct_solve_small``, exact in the sine basis and checked to CG's
+    tolerance: 0 iterations and the residual. Otherwise it is
+    ``cg_solve``, warm-started from u^n at its default tolerance.
     """
     bc_curr, bc_next = liftings
     a0, a1, a2 = coeffs.a
@@ -447,10 +445,7 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, coeffs: StepCoefficien
         rhs += source_at_shifted_time(problem, coeffs.t_eval, sgrid)
 
     op = ShiftedOperator(sigma=a2, kappa=D * b1, grid=sgrid)
-    if sine:
-        x = direct_solve_small(op, rhs)
-        return x, sine_result(op, rhs, x)
-    result = cg_solve(op, rhs, x0=u_curr)
+    result = direct_solve_small(op, rhs) if sine else cg_solve(op, rhs, x0=u_curr)
     return result.x, result
 
 
@@ -470,11 +465,12 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
         t1) to ``start_level``'s (u^1, record), u^1 read-only. A start
         that is missing is computed here and stored.
 
-    Every step of a run whose start is stiff, the ETDRK4 side of
-    ``start_level``, solves exactly in the sine basis, whose transforms the
-    start has loaded; every step of a run that starts with DP5(4) solves
-    with CG, which loads no scipy. A sine step reports 0 CG iterations
-    and the residual ||rhs - op x||_2 of its solve.
+    The solve follows the record of the start made or reused: every step
+    of a run whose start ran ETDRK4, which ``start_level`` picks on a
+    stiff start interval, solves exactly in the sine basis, whose
+    transforms the start has loaded; every step of a run that starts with
+    DP5(4) solves with CG, which loads no scipy. A sine step reports 0 CG
+    iterations and the residual ||rhs - op x||_2 of its solve.
 
     Returns
     -------
@@ -503,7 +499,7 @@ def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
             u_curr.setflags(write=False)
             starts[key] = u_curr, starter
 
-    sine = start_stiffness(problem, sgrid, nodes[0], nodes[1]) > ETD_STIFFNESS
+    sine = starter.method == "etdrk4"
     report = RunReport(starter)
     # each step hands its t_{n+1} lifting on to the next as its t_n one
     bc_next = boundary_contribution(problem.boundary, nodes[1], sgrid)

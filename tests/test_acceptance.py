@@ -298,7 +298,7 @@ def test_criterion_07_linear_solver_oracle():
     for k in range(20):
         rhs = rng.standard_normal(g.n_interior)
         out = cg_solve(op, rhs, tol=1e-12)
-        gap = np.abs(out.x - direct_solve_small(op, rhs)).max()
+        gap = np.abs(out.x - direct_solve_small(op, rhs).x).max()
         worst = max(worst, gap)
         if gap > 1e-9:
             violations.append(f"rhs {k}: cg vs direct gap {gap:.2e} > 1e-9")

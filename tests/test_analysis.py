@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -186,6 +187,42 @@ def test_betas_of_a_sweep_share_one_start_per_grid(sweep, refine, tmp_path,
         table.write_csv(tmp_path / "shared.csv")
         assert (tmp_path / "single.csv").read_bytes() == \
             (tmp_path / "shared.csv").read_bytes()
+
+
+def test_sweep_reads_each_pairs_solve_from_its_shared_start(monkeypatch):
+    # on 24 x 24 the start of M = 8 is stiff (rho 58) and that of M = 16 is
+    # not (rho 29). The stiffness rule runs once per computed start, in
+    # start_level and never in integrate, and every beta's steps follow
+    # the shared start's record with one solve call a step
+    rule_callers, solves, per_step = [], [], []
+    real_rule, real_step = stepper.start_stiffness, stepper.bdf_imex_step
+
+    def rule(*args):
+        rule_callers.append(sys._getframe(1).f_code.co_name)
+        return real_rule(*args)
+
+    def solving(kind, real):
+        def solve(*args, **kwargs):
+            solves.append(kind)
+            return real(*args, **kwargs)
+        return solve
+
+    def step(*args):
+        before = len(solves)
+        out = real_step(*args)
+        per_step.append(solves[before:])
+        return out
+
+    monkeypatch.setattr(stepper, "start_stiffness", rule)
+    monkeypatch.setattr(stepper, "cg_solve", solving("cg", stepper.cg_solve))
+    monkeypatch.setattr(stepper, "direct_solve_small",
+                        solving("sine", stepper.direct_solve_small))
+    monkeypatch.setattr(stepper, "bdf_imex_step", step)
+    tables = temporal_sweep(example1(), list(BETAS), [8, 16], 24)
+    assert len(tables) == 3
+    assert rule_callers == ["start_level", "start_level"]
+    # the sweep loops over the pairs outside and the betas inside
+    assert per_step == [["sine"]] * (3 * 7) + [["cg"]] * (3 * 15)
 
 
 def test_table_csv_and_plot_data(tmp_path):

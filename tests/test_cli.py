@@ -503,6 +503,23 @@ def test_cmd_convergence_single_row_has_no_orders(tmp_path):
     assert data[1].split(",")[2] == ""
 
 
+@pytest.mark.parametrize("axis", [["--nx", "8", "--sweep-m", "4,8"],
+                                  ["--sweep-n", "4,8", "-M", "4"]])
+def test_cmd_convergence_writes_a_sweep_whose_errors_are_zero(tmp_path, axis):
+    # at T = 1e-100 the wave's field and the exact one agree to the bit, so
+    # both errors of every row are 0: the orders stay blank and the plot
+    # writes log10(0) as -inf
+    out = tmp_path / "zero"
+    assert run_cli("convergence", "--example", "wave", *axis,
+                   "--t-final", "1e-100", "-o", str(out)) == 0
+    stem = "temporal" if "--sweep-m" in axis else "spatial"
+    lines = (out / f"{stem}_beta2_uniform.csv").read_text().splitlines()
+    assert [l for l in lines if not l.startswith("#")] == [
+        "param,Linf,order_inf,L2,order_2", "4,0.0,,0.0,", "8,0.0,,0.0,"]
+    plot = (out / f"{stem}_beta2_uniform_plot.csv").read_text().splitlines()
+    assert plot[-2:] == ["2.000000,-inf,-inf,-inf", "3.000000,-inf,-inf,-inf"]
+
+
 def test_cmd_grid_matches_library(tmp_path, capsys):
     assert run_cli("grid", "-M", "8", "--gamma", "0.75") == 0
     rows = capsys.readouterr().out.splitlines()
@@ -806,3 +823,4 @@ def test_config_hash_stable():
     assert parse_config("convergence", overrides={
         "nx": "16", "sweep_m": "20,40,80", "grids": "graded:0.75",
         "betas": "sqrt2,2,pi"}).hash() == "0a0decf3731c"
+

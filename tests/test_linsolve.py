@@ -9,7 +9,6 @@ from fisherkpp.linsolve import (
     SolveFailure,
     cg_solve,
     direct_solve_small,
-    sine_result,
 )
 from fisherkpp.coeffs import nonuniform_coeffs
 from fisherkpp.problems import example1, example2
@@ -50,7 +49,7 @@ def test_cg_matches_dense_direct_solve():
     for _ in range(20):
         rhs = rng.standard_normal(op.grid.n_interior)
         x_cg = cg_solve(op, rhs, tol=1e-12).x
-        x_direct = direct_solve_small(op, rhs)
+        x_direct = direct_solve_small(op, rhs).x
         assert np.abs(x_cg - x_direct).max() <= 1e-9
 
 
@@ -68,7 +67,7 @@ def test_identity_limit():
     rng = np.random.default_rng(14)
     op = operator(6, sigma=4.0, kappa=0.0)
     rhs = rng.standard_normal(op.grid.n_interior)
-    np.testing.assert_allclose(direct_solve_small(op, rhs), rhs / 4.0, rtol=1e-13)
+    np.testing.assert_allclose(direct_solve_small(op, rhs).x, rhs / 4.0, rtol=1e-13)
     out = cg_solve(op, rhs)
     np.testing.assert_allclose(out.x, rhs / 4.0, rtol=1e-10)
 
@@ -77,7 +76,7 @@ def test_direct_residual_tiny():
     rng = np.random.default_rng(15)
     op = operator(9)
     rhs = rng.standard_normal(op.grid.n_interior)
-    x = direct_solve_small(op, rhs)
+    x = direct_solve_small(op, rhs).x
     rel = np.linalg.norm(rhs - dense_operator(op) @ x) / np.linalg.norm(rhs)
     assert rel <= 1e-12
 
@@ -206,35 +205,50 @@ def test_direct_solve_scales_a_right_hand_side_whose_norm_overflows():
     op = operator(8)
     rhs = np.full(op.grid.n_interior, 1e308)
     s = 2.0 ** -math.frexp(1e308)[1]
-    x = direct_solve_small(op, rhs)
+    out = direct_solve_small(op, rhs)
+    x = out.x
     assert np.isfinite(x).all()
-    assert np.array_equal(x, direct_solve_small(op, rhs * s) / s)
+    scaled = direct_solve_small(op, rhs * s)
+    assert np.array_equal(x, scaled.x / s)
     cg = cg_solve(op, rhs)
     assert cg.iterations == 9
     assert np.abs(x - cg.x).max() <= 1e-9 * np.abs(x).max()
     # the residual check scales alike and reports the unscaled residual
-    (res,) = sine_result(op, rhs, x).residuals
+    assert out.iterations == 0 and out.residuals == [scaled.residuals[0] / s]
+    (res,) = out.residuals
     assert math.isfinite(res) and res * s <= 1e-10 * np.linalg.norm(rhs * s)
 
 
-def test_sine_result_checks_the_solve_to_cgs_tolerance():
+def test_direct_solve_checks_the_solve_to_cgs_tolerance(monkeypatch):
     rng = np.random.default_rng(20)
     op = operator(9)
     rhs = rng.standard_normal(op.grid.n_interior)
-    x = direct_solve_small(op, rhs)
-    out = sine_result(op, rhs, x)
-    assert out.x is x and out.iterations == 0
+    out = direct_solve_small(op, rhs)
+    x = out.x
+    assert out.iterations == 0
+    assert np.array_equal(x, spatial.from_sine(
+        spatial.to_sine(rhs, op.grid)
+        / (op.sigma - op.kappa * op.grid.laplacian_eigenvalues), op.grid))
     (res,) = out.residuals
     assert res <= 1e-13 * np.linalg.norm(rhs)
     dense = np.linalg.norm(rhs - dense_operator(op) @ x)
     assert abs(res - dense) <= 1e-14 * np.linalg.norm(rhs)
+    assert direct_solve_small(op, np.zeros_like(rhs)).residuals == [0.0]
+    # an inexact or NaN solution from the transforms fails the check
+    real_from_sine = spatial.from_sine
+    monkeypatch.setattr(linsolve, "from_sine",
+                        lambda v, g: real_from_sine(v, g) * (1.0 + 1e-6))
     with pytest.raises(SolveFailure, match=r"missed relative residual 1e-10: \S+"):
-        sine_result(op, rhs, x * (1.0 + 1e-6))
-    bad = x.copy()
-    bad[4] = np.nan
+        direct_solve_small(op, rhs)
+
+    def with_nan(v, g):
+        bad = real_from_sine(v, g)
+        bad[4] = np.nan
+        return bad
+
+    monkeypatch.setattr(linsolve, "from_sine", with_nan)
     with pytest.raises(SolveFailure, match="residual is not finite"):
-        sine_result(op, rhs, bad)
-    assert sine_result(op, np.zeros_like(rhs), np.zeros_like(rhs)).residuals == [0.0]
+        direct_solve_small(op, rhs)
 
 
 def test_deterministic_given_same_inputs():
@@ -267,7 +281,7 @@ def test_direct_matches_dense_kronecker_solve(nx, ny, sigma):
     op = ShiftedOperator(sigma=sigma, kappa=0.5, grid=g)
     rhs = np.random.default_rng(nx * ny).standard_normal(g.n_interior)
     want = np.linalg.solve(sigma * np.eye(g.n_interior) - 0.5 * dense_laplacian(g), rhs)
-    x = direct_solve_small(op, rhs)
+    x = direct_solve_small(op, rhs).x
     assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -294,7 +308,7 @@ def test_cg_agrees_with_exact_solve_beyond_dense_reach(problem_fn, nx, ny, beta)
     p = problem_fn()
     op, cond = graded_step_operator(p, p.space_grid(nx, ny), beta)
     rhs = np.random.default_rng(nx + ny).standard_normal(op.grid.n_interior)
-    exact = direct_solve_small(op, rhs)
+    exact = direct_solve_small(op, rhs).x
 
     def rel(x):
         return np.linalg.norm(x - exact) / np.linalg.norm(exact)

@@ -431,7 +431,7 @@ def test_etd_starter_reports_the_measured_estimate_when_the_jump_is_capped(monke
 def step(u_prev, u_curr, nodes, beta, p, g, sine):
     """``bdf_imex_step`` over the node triple ``nodes``: its weights and
     both liftings are built here, as ``integrate`` builds them. ``sine``
-    picks the solve, as ``integrate`` picks it from the start's stiffness."""
+    picks the solve, as ``integrate`` picks it from the start's record."""
     liftings = tuple(boundary_contribution(p.boundary, t, g) for t in nodes[1:])
     return bdf_imex_step(u_prev, u_curr, nonuniform_coeffs(*nodes, beta), liftings,
                          p, g, sine)
@@ -794,11 +794,12 @@ def test_integrate_reports_failing_step(monkeypatch):
 
 def test_integrate_reports_failing_sine_step(monkeypatch):
     # a sine-basis solution off by a relative 1e-6 misses CG's tolerance,
-    # and the residual check stops the run at its first step
-    def inexact(op, rhs):
-        return direct_solve_small(op, rhs) * (1.0 + 1e-6)
-
-    monkeypatch.setattr(stepper, "direct_solve_small", inexact)
+    # and the solve's residual check stops the run at its first step. The
+    # ETDRK4 start keeps its own binding of from_sine, so only the solve
+    # is inexact
+    real_from_sine = spatial.from_sine
+    monkeypatch.setattr(linsolve, "from_sine",
+                        lambda v, g: real_from_sine(v, g) * (1.0 + 1e-6))
     p, g, tg = stiff_run()
     with pytest.raises(RuntimeError, match=r"^step 2 \(t=0.333333\) failed$") as info:
         integrate(p, tg, g, 2.0)
@@ -871,6 +872,48 @@ def test_step_only_reads_its_weights():
         "nonuniform_coeffs(*t, beta)", "coeffs.uniform_coeffs(beta)"]
 
 
+def functions_referencing(tree, names):
+    """The outermost function around each reference to one of ``names``:
+    a load by name or through a module, or an import; None at module level."""
+    found = []
+
+    def visit(node, function):
+        if function is None and isinstance(node, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.alias) and node.name in names):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_start_level_applies_the_starter_rule():
+    # the stiffness rule picks the starter once, in start_level; the run's
+    # solve follows the record of the start it made or reused
+    rule = {"ETD_STIFFNESS", "start_stiffness"}
+    sources = {path: path.read_text()
+               for path in Path(stepper.__file__).parent.glob("*.py")}
+    for path, text in sources.items():
+        assert set(functions_referencing(ast.parse(text), rule)) <= \
+            {"start_level"}, path.name
+    text = sources[Path(stepper.__file__)]
+    assert functions_referencing(ast.parse(text), rule) == [
+        "start_level", "start_level"]
+    # the check sees integrate apply the rule a second time
+    line = 'sine = starter.method == "etdrk4"'
+    assert text.count(line) == 1
+    copy = text.replace(line, "sine = start_stiffness(problem, sgrid, nodes[0], "
+                              "nodes[1]) > stepper.ETD_STIFFNESS")
+    assert functions_referencing(ast.parse(copy), rule) == [
+        "start_level", "start_level", "integrate", "integrate"]
+
+
 def nan_source_after(p, t_bad):
     """Example with a source that turns NaN for t > t_bad."""
     def source(x, y, t):
@@ -910,8 +953,9 @@ def test_integrate_stops_on_non_finite_field(monkeypatch):
 
     def exact_solve(op, rhs, **kw):
         calls.append(op)
-        return CGResult(x=direct_solve_small(op, rhs), iterations=0,
-                        residuals=[0.0])
+        shift = op.sigma - op.kappa * op.grid.laplacian_eigenvalues
+        x = spatial.from_sine(spatial.to_sine(rhs, op.grid) / shift, op.grid)
+        return CGResult(x=x, iterations=0, residuals=[0.0])
 
     monkeypatch.setattr(stepper, "cg_solve", exact_solve)
     p = nan_source_after(example1(), 0.5)
