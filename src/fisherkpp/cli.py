@@ -131,11 +131,17 @@ _LOCKED_KEYS = ("d", "k", "form", "p", "q")
 
 
 def read_config_file(path) -> dict:
-    """Flat key = value lines; '#' starts a comment; a key is set once."""
+    """Flat key = value lines; '#' starts a comment; a key is set once.
+    A file that cannot be read as text is a violation too."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError([f"{path}: cannot read the file: {reason}"]) from None
     raw = {}
     set_on = {}
     violations = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -163,7 +169,9 @@ def parse_config(command: str, file_path=None, overrides=None) -> RunConfig:
     of its problems at once. A key the command would ignore is a
     violation and is not read. Range rules are the library's: each time
     grid, beta, space grid and (time grid, beta) pair's step weights the
-    command runs is built, and what it rejects is a violation.
+    command runs is built, and what it rejects is a violation. So is an
+    output path that an existing file blocks, as the command makes the
+    directory only once its computation is done.
     """
     raw = read_config_file(file_path) if file_path else {}
     for key, value in (overrides or {}).items():
@@ -237,6 +245,13 @@ def parse_config(command: str, file_path=None, overrides=None) -> RunConfig:
         labels = [label_of(value) for value in values or ()]
         violations += [f"key {key!r} repeats the output label {label!r}"
                        for i, label in enumerate(labels) if label in labels[i + 1:]]
+    output = Path(cfg.output)
+    for path in (output, *output.parents):
+        # a dangling symlink exists for mkdir too, and blocks it
+        if path.is_symlink() or path.exists():
+            if not path.is_dir():
+                violations.append(f"bad value for 'output': {path} is not a directory")
+            break
     if violations:
         raise ConfigError(violations)
     return cfg

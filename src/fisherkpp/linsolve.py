@@ -11,14 +11,14 @@ run that starts with ETDRK4, and so has loaded the sine transforms,
 solves with ``direct_solve_small``: one call that solves exactly in the
 sine basis, where the operator is diagonal, and checks the residual of
 that solve on the same stencil. Both return a ``CGResult`` and raise
-``SolveFailure`` when they miss CG's tolerance, which stops the run.
-The exact solve is also the tests' oracle.
+``SolveFailure`` when they miss the relative residual ``TOL``, which
+stops the run. The exact solve is also the tests' oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .spatial import (
 )
 # apply_laplacian stays bound for perfbench/tracer.py, which wraps it by name
 from .spatial import apply_laplacian  # noqa: F401
+
+# relative 2-norm residual that both solves meet: ||rhs - op x|| <= TOL ||rhs||
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,19 +53,21 @@ class ShiftedOperator:
 
 
 class SolveFailure(RuntimeError):
-    """CG missed the tolerance within max_iter or met a non-finite value."""
+    """A solve missed ``TOL`` (CG within its cap) or met a non-finite value."""
 
 
 @dataclass
 class CGResult:
+    """Solution, CG iterations and final residual ||rhs - op x||_2."""
+
     x: np.ndarray
     iterations: int
-    residuals: list[float] = field(default_factory=list)
+    residual: float
 
 
 def _norm_and_scale(rhs: np.ndarray) -> tuple[float, float]:
-    """The 2-norm of ``rhs``, and the power of two by which a solve scales
-    the system: 2^-e, e the exponent of max|rhs|, when the 2-norm of a
+    """The 2-norm of ``rhs``, and the power of two s by which a solve
+    scales it: 2^-e, e the exponent of max|rhs|, when the 2-norm of a
     finite ``rhs`` overflows, 1.0 otherwise."""
     # the bits of np.linalg.norm, whose np.dot warns when the sum of
     # squares overflows; np.vdot does not, so no np.errstate block is needed
@@ -72,21 +77,23 @@ def _norm_and_scale(rhs: np.ndarray) -> tuple[float, float]:
     return b_norm, 1.0
 
 
-def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
-             max_iter: int | None = None, x0: np.ndarray | None = None
-             ) -> CGResult:
-    """Conjugate gradients to relative residual ``tol``.
+def _unscaled(result: CGResult, s: float) -> CGResult:
+    """The result of a solve of ``rhs * s`` as that of ``rhs``."""
+    return CGResult(result.x / s, result.iterations, result.residual / s)
+
+
+def cg_solve(op: ShiftedOperator, rhs: np.ndarray,
+             x0: np.ndarray | None = None) -> CGResult:
+    """Conjugate gradients to relative residual ``TOL``.
 
     Parameters
     ----------
     op : ShiftedOperator
         SPD operator to invert.
     rhs : ndarray
-        Right-hand side on the interior nodes.
-    tol : float
-        Relative 2-norm residual target, in (0, 1).
-    max_iter : int, optional
-        Iteration cap; defaults to 10 * (Nx + Ny).
+        Right-hand side on the interior nodes. A finite one whose 2-norm
+        overflows is solved as ``rhs * s`` from ``x0 * s``, s a power of
+        two, and x and the residual are divided by s.
     x0 : ndarray, optional
         Warm start (default zero). The initial residual applies the
         operator to it with the same stencil as every iteration.
@@ -94,32 +101,20 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     Returns
     -------
     CGResult
-        Solution, iterations used, and the residual-norm history
-        (initial residual first, then one entry per iteration).
+        Solution, iterations used and the final residual norm.
 
     Raises
     ------
     SolveFailure
-        If the tolerance is not met within ``max_iter`` iterations, or the
-        right-hand side or a residual is not finite.
+        If the tolerance is not met within 10 * (Nx + Ny) iterations, or
+        the right-hand side or a residual is not finite.
     """
     rhs = check_field(rhs, op.grid)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if max_iter is None:
-        max_iter = 10 * (op.grid.nx + op.grid.ny)
-
     b_norm, s = _norm_and_scale(rhs)
     if s != 1.0:
-        # solve the same system scaled: the scale is exact while sigma and
-        # kappa stay normal floats, and the solution is the same, so x0
-        # stays valid
-        scaled = cg_solve(ShiftedOperator(op.sigma * s, op.kappa * s, op.grid),
-                          rhs * s, tol, max_iter, x0)
-        scaled.residuals = [r / s for r in scaled.residuals]
-        return scaled
+        return _unscaled(cg_solve(op, rhs * s, None if x0 is None else x0 * s), s)
     if b_norm == 0.0:
-        return CGResult(x=np.zeros_like(rhs), iterations=0, residuals=[0.0])
+        return CGResult(x=np.zeros_like(rhs), iterations=0, residual=0.0)
 
     if not math.isfinite(b_norm):
         raise SolveFailure(f"CG right-hand side is not finite (norm {b_norm})")
@@ -137,16 +132,16 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
     np.copyto(p, r)
 
     res = math.sqrt(rr)
-    history = [res]
+    max_iter = 10 * (op.grid.nx + op.grid.ny)
     k = 0
     # a NaN fails every comparison, so "not <=" keeps it in the loop to be caught
-    while not res <= tol * b_norm:
+    while not res <= TOL * b_norm:
         if not math.isfinite(res):
             raise SolveFailure(f"CG residual is not finite after {k} iterations")
         if k >= max_iter:
             raise SolveFailure(
                 f"CG stalled at relative residual {res / b_norm:.3e} "
-                f"after {k} iterations (target {tol:g})"
+                f"after {k} iterations (target {TOL:g})"
             )
         _stencil(plan)
         alpha = rr / float(p @ q)
@@ -154,34 +149,32 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray, tol: float = 1e-10,
         r -= np.multiply(q, alpha, w)
         rr_new = float(r @ r)
         res = math.sqrt(rr_new)
-        history.append(res)
         # p = r + beta * p in place: addition commutes, so the bits match
         p *= rr_new / rr
         p += r
         rr = rr_new
         k += 1
-    return CGResult(x=x, iterations=k, residuals=history)
+    return CGResult(x=x, iterations=k, residual=res)
 
 
 def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> CGResult:
-    """Exact solve on any grid, checked to CG's tolerance.
+    """Exact solve on any grid, checked to ``TOL``.
 
     sigma - kappa * lam divides each sine mode. Every step of a run whose
     start ran ETDRK4 solves with it (see ``stepper.integrate``), and the
     tests take it as their oracle. A finite right-hand side whose 2-norm
-    overflows is solved scaled by 2^-e, e the exponent of max|rhs|, as
-    ``cg_solve`` scales it, and the solution and its residual are scaled
-    back: the transforms would overflow to NaN.
+    overflows is solved as ``rhs * s``, as ``cg_solve`` solves it, and x
+    and the residual are divided by s: the transforms would overflow to
+    NaN.
 
-    Returns a ``CGResult`` of 0 iterations whose one residual is
+    Returns a ``CGResult`` of 0 iterations whose residual is
     ||rhs - op x||_2, run on the operator's own stencil plan, as CG takes
     its initial residual.
 
     Raises
     ------
     SolveFailure
-        If the residual is not finite or exceeds 1e-10 ||rhs||_2, the
-        default tolerance of ``cg_solve``.
+        If the residual is not finite or exceeds ``TOL * ||rhs||_2``.
 
     The name is older than the method: ``perfbench/tracer.py`` wraps
     ``fisherkpp.stepper.direct_solve_small`` by name, so it stays until
@@ -190,9 +183,7 @@ def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> CGResult:
     rhs = check_field(rhs, op.grid)
     b_norm, s = _norm_and_scale(rhs)
     if s != 1.0:
-        scaled = direct_solve_small(op, rhs * s)
-        return CGResult(x=scaled.x / s, iterations=0,
-                        residuals=[scaled.residuals[0] / s])
+        return _unscaled(direct_solve_small(op, rhs * s), s)
     shift = op.sigma - op.kappa * op.grid.laplacian_eigenvalues
     x = from_sine(to_sine(rhs, op.grid) / shift, op.grid)
     out, work = np.empty_like(rhs), np.empty_like(rhs)
@@ -200,7 +191,7 @@ def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> CGResult:
     res = math.sqrt(np.vdot(r, r))
     if not math.isfinite(res):
         raise SolveFailure("sine-basis solve residual is not finite")
-    if not res <= 1e-10 * b_norm:
-        raise SolveFailure(f"sine-basis solve missed relative residual 1e-10: "
+    if not res <= TOL * b_norm:
+        raise SolveFailure(f"sine-basis solve missed relative residual {TOL:g}: "
                            f"{res / b_norm:.3e}")
-    return CGResult(x=x, iterations=0, residuals=[res])
+    return CGResult(x=x, iterations=0, residual=res)

@@ -18,18 +18,17 @@ spatial floor |reference - exact| between them.
 import math
 import time
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 
-from fisherkpp import stepper
+from fisherkpp import linsolve, stepper
 from fisherkpp.analysis import (ConvergenceTable, exact_final_field, l2_error,
                                 linf_error, spatial_sweep)
 from fisherkpp.coeffs import nonuniform_coeffs, uniform_coeffs
 from fisherkpp.linsolve import ShiftedOperator, cg_solve, direct_solve_small
 from fisherkpp.problems import example1, example2
-from fisherkpp.spatial import boundary_contribution, eval_interior
+from fisherkpp.spatial import apply_laplacian, boundary_contribution, eval_interior
 from fisherkpp.stepper import bdf_imex_step, integrate
 from fisherkpp.timegrid import TimeGrid, graded_grid, uniform_grid
 
@@ -248,7 +247,7 @@ def test_criterion_05_coefficient_consistency():
 
 def test_criterion_06_discretization_oracle(monkeypatch):
     t0 = time.perf_counter()
-    monkeypatch.setattr(stepper, "cg_solve", partial(cg_solve, tol=1e-12))
+    monkeypatch.setattr(linsolve, "TOL", 1e-12)
     violations = []
     worst = 0.0
     for problem_fn in (example1, example2):
@@ -287,7 +286,7 @@ def test_criterion_06_discretization_oracle(monkeypatch):
            f"worst gap {worst:.1e}")
 
 
-def test_criterion_07_linear_solver_oracle():
+def test_criterion_07_linear_solver_oracle(monkeypatch):
     t0 = time.perf_counter()
     p = example1()
     g = p.space_grid(9, 9)  # 8x8 interior
@@ -295,16 +294,20 @@ def test_criterion_07_linear_solver_oracle():
     rng = np.random.default_rng(7)
     violations = []
     worst = 0.0
+    monkeypatch.setattr(linsolve, "TOL", 1e-12)
     for k in range(20):
         rhs = rng.standard_normal(g.n_interior)
-        out = cg_solve(op, rhs, tol=1e-12)
+        out = cg_solve(op, rhs)
         gap = np.abs(out.x - direct_solve_small(op, rhs).x).max()
         worst = max(worst, gap)
         if gap > 1e-9:
             violations.append(f"rhs {k}: cg vs direct gap {gap:.2e} > 1e-9")
-        hist = np.array(out.residuals)
-        if not np.all(np.diff(hist) <= 0.0):
-            violations.append(f"rhs {k}: residual history not non-increasing")
+        # the target 1e-12 on the true residual, with room for the rounding
+        # by which CG's updated residual drifts from it
+        true = np.linalg.norm(rhs - op.sigma * out.x
+                              + op.kappa * apply_laplacian(out.x, g))
+        if not true <= 2e-12 * np.linalg.norm(rhs):
+            violations.append(f"rhs {k}: true residual {true:.2e} above 2e-12 ||rhs||")
     report(7, violations, time.perf_counter() - t0,
            f"20 right-hand sides, worst cg-vs-direct gap {worst:.1e}")
 

@@ -2,13 +2,12 @@ import ast
 import itertools
 import math
 import shlex
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fisherkpp import analysis, cli, stepper
+from fisherkpp import analysis, cli, linsolve, stepper
 from fisherkpp.cli import (
     ConfigError,
     RunConfig,
@@ -17,7 +16,6 @@ from fisherkpp.cli import (
     parse_float,
 )
 from fisherkpp.coeffs import uniform_coeffs
-from fisherkpp.linsolve import cg_solve
 from fisherkpp.problems import ProblemSpec, example1
 from fisherkpp.timegrid import graded_grid, time_grid
 
@@ -175,13 +173,82 @@ def test_cmd_run_deterministic_artifacts(tmp_path):
     assert strip(rows_a) == strip(rows_b)
 
 
-def test_cmd_run_unwritable_output_fails_cleanly(tmp_path, capsys):
+def never_integrate(monkeypatch):
+    """Make every integration of the run and convergence commands fail the
+    test: a config error must stop a command before its first one."""
+    def integrate(*args):
+        raise AssertionError("integrate ran")
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    monkeypatch.setattr(analysis, "integrate", integrate)
+
+
+def assert_blocked_output(tmp_path, capsys, blocker):
+    """The command exited 2 naming ``blocker``, before any integration
+    (``never_integrate``), and left ``tmp_path`` holding ``blocker`` alone."""
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: bad value for 'output': {blocker} is not a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == [blocker.name]
+    assert blocker.read_text() == "i am a file"
+
+
+def test_cmd_run_unwritable_output_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # an output path that a file blocks is a config error, found before
+    # any integration, and no directory is made
     blocker = tmp_path / "blocker"
     blocker.write_text("i am a file")
+    never_integrate(monkeypatch)
     code = run_cli("run", "--beta", "2", "-M", "4", "--nx", "8",
                    "-o", str(blocker / "sub"))
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert code == 2
+    assert_blocked_output(tmp_path, capsys, blocker)
+
+
+@pytest.mark.parametrize("argv, output", [
+    (("run", "--nx", "8", "-M", "4"), "blocker"),
+    (("convergence", "--nx", "8", "--sweep-m", "4,8"), "blocker/sub"),
+], ids=["run-onto-file", "convergence-below-file"])
+def test_output_blocked_by_a_file_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                    argv, output):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("i am a file")
+    never_integrate(monkeypatch)
+    assert run_cli(*argv, "-o", str(tmp_path / output)) == 2
+    assert_blocked_output(tmp_path, capsys, blocker)
+
+
+def test_output_onto_a_dangling_symlink_is_a_config_error(tmp_path, capsys,
+                                                         monkeypatch):
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "nowhere")
+    never_integrate(monkeypatch)
+    assert run_cli("run", "--nx", "8", "-M", "4", "-o", str(link)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: bad value for 'output': {link} is not a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+
+def test_output_into_an_existing_directory_is_allowed(tmp_path):
+    assert run_cli("run", "--nx", "8", "-M", "4", "-o", str(tmp_path)) == 0
+    assert (tmp_path / "field.csv").exists()
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"m = 4\n\xff\n"),
+     "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+], ids=["missing", "directory", "not-utf8"])
+def test_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys,
+                                                           monkeypatch, make,
+                                                           reason):
+    path = tmp_path / "cfg.txt"
+    make(path)
+    never_integrate(monkeypatch)
+    assert run_cli("run", "-c", str(path), "-o", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {path}: cannot read the file: {reason}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_convergence_requires_exactly_one_axis(tmp_path, capsys):
@@ -640,9 +707,9 @@ def test_run_on_subnormal_steps_names_non_finite_weights(tmp_path, capsys):
 ], ids=["run", "convergence"])
 def test_command_that_fails_after_it_starts_leaves_no_directory(
         tmp_path, argv, monkeypatch, capsys):
-    # CG capped at one iteration cannot meet the tolerance on the first
+    # no residual meets a tolerance of 1e-300, so CG stalls on the first
     # step; both commands start with DP5(4) at N = 16, so they solve with CG
-    monkeypatch.setattr(stepper, "cg_solve", partial(cg_solve, max_iter=1))
+    monkeypatch.setattr(linsolve, "TOL", 1e-300)
     out = tmp_path / "out"
     assert run_cli(*argv, "-o", str(out)) == 1
     err = capsys.readouterr().err.splitlines()

@@ -1,5 +1,6 @@
 """Every name a package module imports is used there, every parameter
-of a function is read in its body, and no run loads more of scipy than
+of a function is read in its body, every parameter with a default is
+set by some call in the package, and no run loads more of scipy than
 its sine transform, which loads with the first transform: a run that
 makes none loads no scipy at all. A run hashes its config without
 OpenSSL.
@@ -17,6 +18,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    import tomllib
+except ImportError:  # Python 3.10
+    tomllib = None
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fisherkpp"
@@ -87,6 +93,87 @@ def test_unread_parameter_check_sees_defs_not_lambdas():
         "    return g() + (lambda x, y, t: 0.0)(1, 2, 3)\n"
     )
     assert list(unread_parameters(tree)) == [("f", "b"), ("f", "d"), ("f", "e")]
+
+
+def unset_defaults(trees, exempt=()):
+    """(module, function, parameter) of every parameter with a default
+    that no call in ``trees``, {module: tree}, sets; the (module,
+    function) pairs in ``exempt`` are not checked.
+
+    A call names its callee by a plain name or by an attribute's last
+    part and sets the parameters of every ``def`` of that name that its
+    positional arguments reach, after self in a method, or that it passes
+    by keyword. A function's calls to itself do not count. A call whose
+    callee has no name, such as ``PROBLEMS[name](T=...)``, sets every
+    parameter that one of its keywords names.
+    """
+    defs, calls, anywhere = [], {}, set()
+
+    def visit(node, module, caller, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = [p.arg for p in a.posonlyargs + a.args][in_class:]
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                              if d is not None]
+                defs.append((module, child.name, positional, defaulted))
+                visit(child, module, child.name, False)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                keywords = {k.arg for k in child.keywords if k.arg is not None}
+                if name is None:
+                    anywhere.update(keywords)
+                elif name != caller:
+                    reach = next((i for i, arg in enumerate(child.args)
+                                  if isinstance(arg, ast.Starred)), len(child.args))
+                    calls.setdefault(name, []).append((reach, keywords))
+            visit(child, module, caller, isinstance(child, ast.ClassDef))
+
+    for module, tree in trees.items():
+        visit(tree, module, None, False)
+    for module, name, positional, defaulted in defs:
+        if (module, name) in exempt:
+            continue
+        set_here = set(anywhere)
+        for reach, keywords in calls.get(name, ()):
+            set_here.update(positional[:reach], keywords)
+        yield from ((module, name, p) for p in defaulted if p not in set_here)
+
+
+def console_entry_points():
+    """(module, function) of each console script in pyproject.toml, which
+    the command line calls with its defaults."""
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    targets = (target.split(":") for target in scripts.values())
+    return {(module.rsplit(".", 1)[-1], function) for module, function in targets}
+
+
+@pytest.mark.skipif(tomllib is None, reason="reading pyproject.toml needs tomllib")
+def test_every_defaulted_parameter_is_set_by_a_package_call():
+    # a default that no caller overrides is a knob that only tests turn
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    unset = list(unset_defaults(trees, console_entry_points()))
+    assert not unset, f"parameters that no package call sets: {unset}"
+
+
+def test_unset_default_check_counts_calls_but_not_self_calls():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return f(a, 5, c=6, d=7)\n"
+        "def g(x=0, y=0, z=0):\n"
+        "    return f(1, 2) + REGISTRY['f'](d=1) + g(y=1)\n"
+        "class C:\n"
+        "    def m(self, u=0, v=0):\n"
+        "        return g(*ARGS, z=1)\n"
+        "def main(argv=None):\n"
+        "    return C().m(1)\n"
+    )
+    assert list(unset_defaults({"mod": tree}, {("mod", "main")})) == [
+        ("mod", "f", "c"), ("mod", "f", "e"), ("mod", "g", "x"),
+        ("mod", "g", "y"), ("mod", "m", "v")]
 
 
 def import_paths(node):
