@@ -245,16 +245,26 @@ def parse_config(command: str, file_path=None, overrides=None) -> RunConfig:
         labels = [label_of(value) for value in values or ()]
         violations += [f"key {key!r} repeats the output label {label!r}"
                        for i, label in enumerate(labels) if label in labels[i + 1:]]
-    output = Path(cfg.output)
-    for path in (output, *output.parents):
-        # a dangling symlink exists for mkdir too, and blocks it
-        if path.is_symlink() or path.exists():
-            if not path.is_dir():
-                violations.append(f"bad value for 'output': {path} is not a directory")
-            break
+    violations += _output_violations(Path(cfg.output), made=True)
     if violations:
         raise ConfigError(violations)
     return cfg
+
+
+def _output_violations(directory: Path, made: bool) -> list[str]:
+    """The 'output' violation of writing into ``directory``, if any: an
+    existing path that is not a directory where it or a parent should be,
+    or, when the command does not make ``directory`` (``made`` false), a
+    level of it that does not exist."""
+    for path in (directory, *directory.parents):
+        # a dangling symlink exists for mkdir too, and blocks it
+        if path.is_symlink() or path.exists():
+            if not path.is_dir():
+                return [f"bad value for 'output': {path} is not a directory"]
+            return []
+        if not made:
+            return [f"bad value for 'output': {path} does not exist"]
+    return []
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -350,6 +360,10 @@ def cmd_coeffs(args) -> int:
 def _emit(lines, output):
     text = "\n".join(lines) + "\n"
     if output:
+        # the dump writes one file into a directory it does not make
+        violations = _output_violations(Path(output).parent, made=False)
+        if violations:
+            raise ConfigError(violations)
         Path(output).write_text(text)
     else:
         sys.stdout.write(text)

@@ -51,7 +51,7 @@ from .timegrid import TimeGrid
 # On the wave problem at N = 160, ETDRK4 was 6x slower at every
 # stiffness from 5 to 20.
 ETD_STIFFNESS = 50.0
-# ETDRK4 doubles its substep count up to this cap before giving up
+# ETDRK4 raises its substep count up to this cap before giving up
 ETD_MAX_SUBSTEPS = 1024
 
 
@@ -70,20 +70,22 @@ class StarterRecord:
 
     ``nfev`` counts right-hand-side evaluations (DP5) or stage
     evaluations (ETDRK4), an ETDRK4 stage being one reaction evaluation
-    with an inverse and a forward sine transform; ``substeps`` and
-    ``estimate`` are the final substep count and error estimate of
-    ETDRK4 and stay None for DP5.
+    with an inverse and a forward sine transform; ``levels`` are the
+    substep counts ETDRK4 marched, in order, the last one giving the
+    result, and ``estimate`` its final error estimate. Both stay None
+    for DP5.
     """
 
     method: str
     nfev: int
-    substeps: int | None = None
+    levels: tuple[int, ...] | None = None
     estimate: float | None = None
 
     def header(self) -> str:
         line = f"starter={self.method} nfev={self.nfev}"
-        if self.substeps is not None:
-            line += f" substeps={self.substeps} estimate={self.estimate:.3e}"
+        if self.levels is not None:
+            line += (f" levels={','.join(map(str, self.levels))}"
+                     f" estimate={self.estimate:.3e}")
         return line
 
 
@@ -275,16 +277,22 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
     (t0, u0) is the same for every substep count and is evaluated once.
 
     The substep count doubles from 1 until the Richardson estimate
-    |v_n - v_{n/2}| / 15 of the fourth-order result is at most
+    E_n = |v_n - v_{n/2}| / 15 of the fourth-order result is at most
     1e-9 * max(1, max|v_n|); the extrapolated v_n + (v_n - v_{n/2}) / 15
-    is returned. After an estimate above target, the estimate is
-    predicted to fall by 2**4 per doubling, as a fourth-order one does:
-    the start jumps to the first count, at most ``ETD_MAX_SUBSTEPS``,
-    predicted to meet the target, marches half that count as the new
-    coarse result and doubles from there. The record's ``nfev`` counts
-    stage evaluations, each one reaction evaluation with an inverse and
-    a forward sine transform: the shared first stage, then 4n - 1 for
-    each count n marched.
+    is returned. A miss at 2 substeps doubles to 4, so that the start
+    measures the order q = log2(E_2 / E_4), clamped to [1, 4], at which
+    its estimate falls. A miss at 4 jumps to the smallest even count m
+    with E_4 (4 / m)**q at most the target, marching m / 2 as the new
+    coarse result and doubling from there. After a later miss, the
+    estimate is predicted to fall by 2**4 per doubling, as a
+    fourth-order one does, and the start jumps to the first
+    power-of-two multiple of the count predicted to meet the target.
+    No jump goes past that multiple or past ``ETD_MAX_SUBSTEPS``. On the
+    ``mms-starter`` interval (N = 48, [0, 1/6]) the estimates at 2 and
+    4 substeps, 5.8e-7 and 3.7e-8, give q = 3.98 and the pair (5, 10):
+    84 stages. The record's ``nfev`` counts stage evaluations, each one
+    reaction evaluation with an inverse and a forward sine transform:
+    the shared first stage, then 4n - 1 for each count n marched.
 
     Raises
     ------
@@ -362,16 +370,28 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
             if estimate <= target:
                 nfev = 1 + sum(4 * k - 1 for k in levels)
                 return fine + delta, StarterRecord(
-                    "etdrk4", nfev=nfev, substeps=n, estimate=estimate)
+                    "etdrk4", nfev=nfev, levels=tuple(levels), estimate=estimate)
             coarse = fine
-            # the first count, at most the cap, predicted to meet the
-            # target: a fourth-order estimate falls by r**4 when the count
-            # grows r-fold, 2**4 per doubling
+            if n == 2:
+                # one more doubling measures the order of the estimate
+                probe = estimate
+                continue
+            # the first power-of-two multiple of the count, at most the
+            # cap, predicted to meet the target: a fourth-order estimate
+            # falls by r**4 when the count grows r-fold
             level = 2 * n
             while (2 * level <= ETD_MAX_SUBSTEPS
                    and estimate > target * (level // n) ** 4):
                 level *= 2
-            if level > 2 * n:
+            if n == 4:
+                # the smallest even count, up to that doubling, predicted
+                # to meet the target at the order measured from 2 to 4
+                q = min(4.0, max(1.0, math.log2(probe / estimate)))
+                m = n + 2
+                while m < level and estimate * (n / m) ** q > target:
+                    m += 2
+                level = m
+            if level != 2 * n and level <= ETD_MAX_SUBSTEPS:
                 n = level // 2
                 levels.append(n)
                 coarse, full = march(n, tables((t1 - t0) / n * lam))

@@ -202,6 +202,27 @@ def test_criterion_04_temporal_order_example2(ex2_reference):
            fixtures=(ex2_reference.timing,))
 
 
+def test_supplementary_etdrk4_over_the_whole_interval(ex1_reference, ex2_reference):
+    """Not a numbered criterion: ``etd_init`` run over all of [0, T] is a
+    second method-of-lines reference, with exact diffusion, that must agree
+    with ``oracles.mol_reference`` (scipy's RK45) to 2e-9 on Example 1 at
+    N = 64 and on Example 2 at N = 128."""
+    t0 = time.perf_counter()
+    violations, notes = [], []
+    for label, ref in (("example1", ex1_reference), ("example2", ex2_reference)):
+        u0 = eval_interior(ref.problem.initial, ref.sgrid)
+        u, rec = stepper.etd_init(ref.problem, ref.sgrid, 0.0, ref.problem.T, u0)
+        gap = linf_error(u, ref.u)
+        notes.append(f"{label} N={ref.n}: |ETDRK4 - MOL| = {gap:.2e} "
+                     f"({rec.header()})")
+        if not gap <= 2e-9:
+            violations.append(f"{label} N={ref.n}: |ETDRK4 - MOL| = {gap:.2e} "
+                              "above 2e-9")
+    report("supplementary", violations, time.perf_counter() - t0,
+           "ETDRK4 over [0, T] against the MOL solution", notes,
+           fixtures=(ex1_reference.timing, ex2_reference.timing))
+
+
 def test_criterion_05_coefficient_consistency():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)

@@ -207,7 +207,8 @@ def test_cmd_run_unwritable_output_fails_cleanly(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("argv, output", [
     (("run", "--nx", "8", "-M", "4"), "blocker"),
     (("convergence", "--nx", "8", "--sweep-m", "4,8"), "blocker/sub"),
-], ids=["run-onto-file", "convergence-below-file"])
+    (("grid", "-M", "4"), "blocker/sub"),
+], ids=["run-onto-file", "convergence-below-file", "grid-below-file"])
 def test_output_blocked_by_a_file_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                     argv, output):
     blocker = tmp_path / "blocker"
@@ -215,6 +216,15 @@ def test_output_blocked_by_a_file_is_a_config_error(tmp_path, capsys, monkeypatc
     never_integrate(monkeypatch)
     assert run_cli(*argv, "-o", str(tmp_path / output)) == 2
     assert_blocked_output(tmp_path, capsys, blocker)
+
+
+def test_dump_into_a_missing_directory_is_a_config_error(tmp_path, capsys):
+    # a dump writes one file and makes no directory for it
+    missing = tmp_path / "nodir"
+    assert run_cli("coeffs", "--beta", "2", "-o", str(missing / "x")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: bad value for 'output': {missing} does not exist"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_onto_a_dangling_symlink_is_a_config_error(tmp_path, capsys,

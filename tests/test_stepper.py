@@ -234,7 +234,8 @@ def test_phi_functions_mixed_array_matches_single_values():
 def etd_levels(monkeypatch, problem, g, t0, t1, u0):
     """etd_init's result, its record and the substep counts it marched,
     read off the times at which it samples the Dirichlet lifting: t0
-    once, then t0 + k h / 2 for k = 1 .. 2n at each count n."""
+    once, then t0 + k h / 2 for k = 1 .. 2n at each count n. The counts
+    must agree with the record's ``levels``."""
     times = []
 
     def recording(bc, t, grid):
@@ -250,6 +251,7 @@ def etd_levels(monkeypatch, problem, g, t0, t1, u0):
         if t_next < t:
             levels.append(count // 2)
             count = 0
+    assert tuple(levels) == rec.levels
     return u, rec, levels
 
 
@@ -259,8 +261,8 @@ def stage_count(levels):
 
 
 @pytest.mark.parametrize("case, levels", [
-    ("manufactured-48", [1, 2, 8, 16]),
-    ("wave-24x20", [1, 2, 4, 8]),
+    ("manufactured-48", [1, 2, 4, 5, 10]),
+    ("wave-24x20", [1, 2, 4, 3, 6]),
 ], ids=["manufactured-48", "wave-24x20"])
 def test_etd_init_matches_dp5_oracle(monkeypatch, case, levels):
     # the wave case has time-dependent Dirichlet data and hx != hy
@@ -275,13 +277,13 @@ def test_etd_init_matches_dp5_oracle(monkeypatch, case, levels):
     u_dp5 = stepper.solve_ivp(stepper.mol_rhs(p, g), (t0, t1), u0, 1e-13).y
     assert np.abs(u_etd - u_dp5).max() <= 1e-10
     assert rec.method == "etdrk4" and rec.estimate <= 1e-9
-    assert marched == levels and rec.substeps == levels[-1]
+    assert marched == levels
     assert rec.nfev == stage_count(levels)
 
 
 def test_etd_init_samples_data_once_per_stage_time(monkeypatch):
-    # the mms-starter interval: the estimate at 2 substeps, 5.8e-7, is
-    # predicted to fall under 1e-9 at 16, so 4 is skipped
+    # the mms-starter interval: the estimates at 2 and 4 substeps, 5.8e-7
+    # and 3.7e-8, fall at order 3.98 and predict the pair (5, 10)
     p = example1()
     g, t0, t1 = p.space_grid(48, 48), 0.0, 1.0 / 6.0
     seen = {"lifting": [], "source": [], "reaction": []}
@@ -303,34 +305,68 @@ def test_etd_init_samples_data_once_per_stage_time(monkeypatch):
     monkeypatch.setattr(stepper, "f_eval", reaction)
     u0 = np.zeros(g.n_interior)
     u, rec = etd_init(p, g, t0, t1, u0)
-    levels = [1, 2, 8, 16]
+    levels = [1, 2, 4, 5, 10]
     times = [t0] + [t0 + k * ((t1 - t0) / n) / 2
                     for n in levels for k in range(1, 2 * n + 1)]
     assert seen["lifting"] == times and seen["source"] == times
-    assert rec.substeps == 16
+    assert rec.levels == tuple(levels)
     assert rec.nfev == len(seen["reaction"]) == stage_count(levels)
     # the stage at (t0, u0) is evaluated once, not once per substep count
     first = seen["reaction"][0]
     assert sum(np.array_equal(v, first) for v in seen["reaction"]) == 1
     # the extrapolation of the plain scheme at the last two counts
-    u8, u16 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (8, 16))
-    assert np.abs(u - (u16 + (u16 - u8) / 15.0)).max() <= 1e-14
+    u5, u10 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (5, 10))
+    assert np.abs(u - (u10 + (u10 - u5) / 15.0)).max() <= 1e-14
 
 
-def test_etd_init_doubles_when_the_estimate_falls_slower_than_fourth_order(monkeypatch):
-    # a kink in time at t = 0.1 makes ETDRK4 second order: the estimates
-    # fall by about 4 a doubling, so the count predicted from the estimate
-    # at 2 substeps misses the target and the start doubles on from there
+def kinked_problem():
+    """Example 1 with a source whose kink in time at t = 0.1 makes ETDRK4
+    second order on [0, 1/6]."""
     base = example1()
 
     def kinked(x, y, t):
         return base.source(x, y, t) + 0.003 * abs(t - 0.1) * np.sin(x) * np.sin(y)
 
-    p = ProblemSpec(**{**base.__dict__, "source": kinked})
+    return ProblemSpec(**{**base.__dict__, "source": kinked})
+
+
+@pytest.mark.parametrize("case, levels, power_of_two_stages", [
+    (2, [1, 2, 4, 18, 36], 393),
+    (4, [1, 2, 4, 8, 16], 105),
+    (6, [1, 2, 4, 5, 10], 105),
+    (10, [1, 2, 4, 3, 6], 57),
+    ("kinked", [1, 2, 4, 8, 16, 32], 232),
+], ids=["M=2", "M=4", "M=6", "M=10", "kinked"])
+def test_etd_init_measures_the_order_before_it_jumps(monkeypatch, case, levels,
+                                                     power_of_two_stages):
+    # stiff Example 1 starts at N = 32 over [0, 1/M], and the kinked source
+    # over [0, 1/6]. After a miss at 2 substeps the start doubles to 4,
+    # then jumps to the smallest even count predicted at the measured
+    # order. Its stages stay within 15 of those marched by a jump straight
+    # to the power of two predicted at fourth order from the estimate at 2
+    if case == "kinked":
+        p, t1 = kinked_problem(), 1.0 / 6.0
+    else:
+        p, t1 = example1(), 1.0 / case
+    g = p.space_grid(32, 32)
+    assert start_stiffness(p, g, 0.0, t1) > ETD_STIFFNESS
+    u, rec, marched = etd_levels(monkeypatch, p, g, 0.0, t1,
+                                 eval_interior(p.initial, g))
+    assert marched == levels
+    assert rec.nfev == stage_count(levels) <= power_of_two_stages + 15
+    assert rec.estimate <= 1e-9 * max(1.0, float(np.abs(u).max()))
+
+
+def test_etd_init_doubles_when_the_estimate_falls_slower_than_fourth_order(monkeypatch):
+    # the kink makes the estimates fall by about 4 a doubling, so the even
+    # count predicted from the estimates at 2 and 4 substeps is capped at
+    # the doubling predicted at fourth order, 8, which misses the target,
+    # and the start doubles on
+    p = kinked_problem()
     g, t0, t1 = p.space_grid(32, 32), 0.0, 1.0 / 6.0
     u0 = np.zeros(g.n_interior)
     u, rec, levels = etd_levels(monkeypatch, p, g, t0, t1, u0)
-    assert levels == [1, 2, 8, 16, 32]
+    assert levels == [1, 2, 4, 8, 16, 32]
     u8, u16, u32 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (8, 16, 32))
     est16, est32 = (float(np.abs(fine - coarse).max()) / 15.0
                     for coarse, fine in ((u8, u16), (u16, u32)))
@@ -340,7 +376,9 @@ def test_etd_init_doubles_when_the_estimate_falls_slower_than_fourth_order(monke
 
 
 def test_etd_init_computes_each_phi_table_once(monkeypatch):
-    # one table per substep size (t1 - t0) / 2^k, down to half the final one
+    # one table per substep size (t1 - t0) / n: the counts 1, 2, 4, 8 of
+    # the doublings up to the jump, then 5, 10, 20 from it, each table of a
+    # doubling half the one before, down to half the final step
     seen = []
 
     def counting(z):
@@ -351,10 +389,14 @@ def test_etd_init_computes_each_phi_table_once(monkeypatch):
     p = example1()
     g = p.space_grid(48, 48)
     _, rec = etd_init(p, g, 0.0, 1.0 / 6.0, np.zeros(g.n_interior))
-    assert rec.substeps == 16
-    assert len(seen) == math.log2(rec.substeps) + 2
-    for coarse, fine in zip(seen, seen[1:]):
-        assert np.array_equal(fine, coarse / 2)
+    assert rec.levels == (1, 2, 4, 5, 10)
+    counts = [1, 2, 4, 8, 5, 10, 20]
+    assert len(seen) == len(counts)
+    for z, n in zip(seen, counts):
+        np.testing.assert_allclose(z, seen[0] / n, rtol=1e-15)
+    for (coarse, fine), (n, m) in zip(zip(seen, seen[1:]), zip(counts, counts[1:])):
+        if m == 2 * n:
+            assert np.array_equal(fine, coarse / 2)
 
 
 def benchmark_start(problem, n, tgrid):
@@ -381,10 +423,13 @@ def test_integrate_reports_the_starter_that_ran():
     _, stiff = integrate(p, uniform_grid(1.0, 4), p.space_grid(32, 32), 2.0)
     assert stiff.starter.method == "etdrk4"
     assert stiff.starter.header().startswith("starter=etdrk4 nfev=")
-    assert "substeps=" in stiff.starter.header()
+    assert stiff.starter.levels == (1, 2, 4, 8, 16)
+    assert stiff.starter.header() == (
+        "starter=etdrk4 nfev=120 levels=1,2,4,8,16 "
+        f"estimate={stiff.starter.estimate:.3e}")
     p = example2()
     _, wave = integrate(p, uniform_grid(1.0, 4), p.space_grid(10, 10), 2.0)
-    assert wave.starter.method == "dp54" and wave.starter.substeps is None
+    assert wave.starter.method == "dp54" and wave.starter.levels is None
     assert wave.starter.header() == f"starter=dp54 nfev={wave.starter.nfev}"
 
 
@@ -419,9 +464,9 @@ def test_etd_starter_reports_estimate_when_substeps_run_out(monkeypatch):
 
 
 def test_etd_starter_reports_the_measured_estimate_when_the_jump_is_capped(monkeypatch):
-    # the estimate at 2 substeps predicts 16, past a cap of 8: the start
-    # marches 4 and 8 and reports the estimate it measured at 8, not the
-    # one predicted there
+    # the estimates at 2 and 4 substeps predict 10, past a cap of 8: the
+    # start marches 8 and reports the estimate it measured there, not the
+    # one predicted there from the estimate at 2
     monkeypatch.setattr(stepper, "ETD_MAX_SUBSTEPS", 8)
     p = example1()
     g, t0, t1 = p.space_grid(48, 48), 0.0, 1.0 / 6.0
