@@ -361,10 +361,12 @@ def _emit(lines, output):
     text = "\n".join(lines) + "\n"
     if output:
         # the dump writes one file into a directory it does not make
-        violations = _output_violations(Path(output).parent, made=False)
+        path = Path(output)
+        violations = ([f"bad value for 'output': {path} is a directory"]
+                      if path.is_dir() else _output_violations(path.parent, made=False))
         if violations:
             raise ConfigError(violations)
-        Path(output).write_text(text)
+        path.write_text(text)
     else:
         sys.stdout.write(text)
 

@@ -276,21 +276,27 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
     t0 + k h / 2, and the reaction, evaluated at each stage. The stage at
     (t0, u0) is the same for every substep count and is evaluated once.
 
-    The substep count doubles from 1 until the Richardson estimate
-    E_n = |v_n - v_{n/2}| / 15 of the fourth-order result is at most
-    1e-9 * max(1, max|v_n|); the extrapolated v_n + (v_n - v_{n/2}) / 15
+    The start marches substep counts 1, 2, 4, ..., each new count m
+    paired with the count n marched before it. With r = m / n, the
+    Richardson estimate of the fourth-order result is
+    E_m = |v_m - v_n| / (r**4 - 1), and once it is at most
+    1e-9 * max(1, max|v_m|) the extrapolated v_m + (v_m - v_n) / (r**4 - 1)
     is returned. A miss at 2 substeps doubles to 4, so that the start
-    measures the order q = log2(E_2 / E_4), clamped to [1, 4], at which
-    its estimate falls. A miss at 4 jumps to the smallest even count m
-    with E_4 (4 / m)**q at most the target, marching m / 2 as the new
-    coarse result and doubling from there. After a later miss, the
-    estimate is predicted to fall by 2**4 per doubling, as a
-    fourth-order one does, and the start jumps to the first
-    power-of-two multiple of the count predicted to meet the target.
-    No jump goes past that multiple or past ``ETD_MAX_SUBSTEPS``. On the
-    ``mms-starter`` interval (N = 48, [0, 1/6]) the estimates at 2 and
-    4 substeps, 5.8e-7 and 3.7e-8, give q = 3.98 and the pair (5, 10):
-    84 stages. The record's ``nfev`` counts stage evaluations, each one
+    measures the order q = log2(E_2 / E_4) at which its estimate falls.
+    Below 3.5, an order that does not round to ETDRK4's 4, the start is
+    in the order-reduced regime of stiff problems (Hochbruck & Ostermann,
+    SIAM J. Numer. Anal. 43, 2005), where a wide pair's fourth-order
+    estimate understates the error, and it doubles on: on the wave start
+    at N = 512, M = 2, q = 2.86, the pair (4, 32) estimates 8.8e-10 where
+    the error is 1.3e-8. Otherwise a miss at 4 jumps to the smallest
+    count m with E_4 (4 / m)**min(q, 4) at most the target. After a later
+    miss, the estimate is predicted to fall by 2**4 per doubling, as a
+    fourth-order one does, and the start jumps to the first power-of-two
+    multiple of the count predicted to meet the target. No count goes
+    past that multiple or past ``ETD_MAX_SUBSTEPS``. On the
+    ``mms-starter`` interval (N = 48, [0, 1/6]) the estimates at 2 and 4
+    substeps, 5.8e-7 and 3.7e-8, give q = 3.98 and the pair (4, 10): 65
+    stages. The record's ``nfev`` counts stage evaluations, each one
     reaction evaluation with an inverse and a forward sine transform:
     the shared first stage, then 4n - 1 for each count n marched.
 
@@ -356,45 +362,44 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
             raise FloatingPointError(f"the field is not finite after {n} substeps")
         return u, half
 
-    n, levels = 1, [1]
+    levels = [1]
     try:
         nv0 = n_hat(data(t0), v0)
-        coarse, full = march(n, tables((t1 - t0) * lam))
-        while n < ETD_MAX_SUBSTEPS:
-            n *= 2
-            levels.append(n)
-            fine, full = march(n, full)
-            delta = (fine - coarse) / 15.0
+        coarse, half = march(1, tables((t1 - t0) * lam))
+        n, m, doubling = 1, 2, False
+        while m > n:
+            levels.append(m)
+            fine, half = march(m, half if m == 2 * n else tables((t1 - t0) / m * lam))
+            delta = (fine - coarse) / ((m / n) ** 4 - 1.0)
             estimate = float(np.abs(delta).max())
             target = 1e-9 * max(1.0, float(np.abs(fine).max()))
             if estimate <= target:
                 nfev = 1 + sum(4 * k - 1 for k in levels)
                 return fine + delta, StarterRecord(
                     "etdrk4", nfev=nfev, levels=tuple(levels), estimate=estimate)
-            coarse = fine
+            coarse, n, m = fine, m, 2 * m
             if n == 2:
                 # one more doubling measures the order of the estimate
                 probe = estimate
-                continue
-            # the first power-of-two multiple of the count, at most the
-            # cap, predicted to meet the target: a fourth-order estimate
-            # falls by r**4 when the count grows r-fold
-            level = 2 * n
-            while (2 * level <= ETD_MAX_SUBSTEPS
-                   and estimate > target * (level // n) ** 4):
-                level *= 2
-            if n == 4:
-                # the smallest even count, up to that doubling, predicted
-                # to meet the target at the order measured from 2 to 4
-                q = min(4.0, max(1.0, math.log2(probe / estimate)))
-                m = n + 2
-                while m < level and estimate * (n / m) ** q > target:
-                    m += 2
-                level = m
-            if level != 2 * n and level <= ETD_MAX_SUBSTEPS:
-                n = level // 2
-                levels.append(n)
-                coarse, full = march(n, tables((t1 - t0) / n * lam))
+            elif n == 4:
+                q = min(4.0, math.log2(probe / estimate))
+                # an order that does not round to 4 is ETDRK4's order
+                # reduction, where the fourth-order estimate of a wide
+                # pair understates the error: such a start doubles
+                doubling = q < 3.5
+            if n > 2 and not doubling:
+                # the first power-of-two multiple of the count, at most the
+                # cap, predicted to meet the target: a fourth-order estimate
+                # falls by r**4 when the count grows r-fold
+                while 2 * m <= ETD_MAX_SUBSTEPS and estimate > target * (m // n) ** 4:
+                    m *= 2
+                if n == 4:
+                    # the smallest count, up to that multiple, predicted to
+                    # meet the target at the measured order
+                    level, m = m, n + 1
+                    while m < level and estimate * (n / m) ** q > target:
+                        m += 1
+            m = min(m, ETD_MAX_SUBSTEPS)
     except Exception as exc:
         raise InitializationError(failed) from exc
     raise InitializationError(

@@ -227,6 +227,17 @@ def test_dump_into_a_missing_directory_is_a_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [("grid", "-M", "4"), ("coeffs", "--beta", "2")],
+                         ids=["grid", "coeffs"])
+def test_dump_onto_an_existing_directory_is_a_config_error(tmp_path, capsys, argv):
+    # a dump's -o names the file it writes, so a directory there blocks it
+    (tmp_path / "keep").write_text("kept")
+    assert run_cli(*argv, "-o", str(tmp_path)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: bad value for 'output': {tmp_path} is a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["keep"]
+
+
 def test_output_onto_a_dangling_symlink_is_a_config_error(tmp_path, capsys,
                                                          monkeypatch):
     link = tmp_path / "link"

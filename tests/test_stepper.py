@@ -231,11 +231,9 @@ def test_phi_functions_mixed_array_matches_single_values():
             assert mixed[k][i] == single[k][0]
 
 
-def etd_levels(monkeypatch, problem, g, t0, t1, u0):
-    """etd_init's result, its record and the substep counts it marched,
-    read off the times at which it samples the Dirichlet lifting: t0
-    once, then t0 + k h / 2 for k = 1 .. 2n at each count n. The counts
-    must agree with the record's ``levels``."""
+def record_lifting_times(monkeypatch):
+    """The list to which the times at which ``etd_init`` samples the
+    Dirichlet lifting are appended from now on."""
     times = []
 
     def recording(bc, t, grid):
@@ -243,7 +241,12 @@ def etd_levels(monkeypatch, problem, g, t0, t1, u0):
         return spatial.boundary_contribution(bc, t, grid)
 
     monkeypatch.setattr(stepper, "boundary_contribution", recording)
-    u, rec = etd_init(problem, g, t0, t1, u0)
+    return times
+
+
+def counts_marched(times, t0):
+    """The substep counts read off the lifting sample times of a start:
+    t0 once, then t0 + k h / 2 for k = 1 .. 2n at each count n."""
     assert times[0] == t0
     levels, count = [], 0
     for t, t_next in zip(times[1:], [*times[2:], -math.inf]):
@@ -251,6 +254,16 @@ def etd_levels(monkeypatch, problem, g, t0, t1, u0):
         if t_next < t:
             levels.append(count // 2)
             count = 0
+    return levels
+
+
+def etd_levels(monkeypatch, problem, g, t0, t1, u0):
+    """etd_init's result, its record and the substep counts it marched,
+    read off its lifting sample times. The counts must agree with the
+    record's ``levels``."""
+    times = record_lifting_times(monkeypatch)
+    u, rec = etd_init(problem, g, t0, t1, u0)
+    levels = counts_marched(times, t0)
     assert tuple(levels) == rec.levels
     return u, rec, levels
 
@@ -261,8 +274,8 @@ def stage_count(levels):
 
 
 @pytest.mark.parametrize("case, levels", [
-    ("manufactured-48", [1, 2, 4, 5, 10]),
-    ("wave-24x20", [1, 2, 4, 3, 6]),
+    ("manufactured-48", [1, 2, 4, 10]),
+    ("wave-24x20", [1, 2, 4, 5]),
 ], ids=["manufactured-48", "wave-24x20"])
 def test_etd_init_matches_dp5_oracle(monkeypatch, case, levels):
     # the wave case has time-dependent Dirichlet data and hx != hy
@@ -283,7 +296,7 @@ def test_etd_init_matches_dp5_oracle(monkeypatch, case, levels):
 
 def test_etd_init_samples_data_once_per_stage_time(monkeypatch):
     # the mms-starter interval: the estimates at 2 and 4 substeps, 5.8e-7
-    # and 3.7e-8, fall at order 3.98 and predict the pair (5, 10)
+    # and 3.7e-8, fall at order 3.98 and predict the pair (4, 10)
     p = example1()
     g, t0, t1 = p.space_grid(48, 48), 0.0, 1.0 / 6.0
     seen = {"lifting": [], "source": [], "reaction": []}
@@ -305,7 +318,7 @@ def test_etd_init_samples_data_once_per_stage_time(monkeypatch):
     monkeypatch.setattr(stepper, "f_eval", reaction)
     u0 = np.zeros(g.n_interior)
     u, rec = etd_init(p, g, t0, t1, u0)
-    levels = [1, 2, 4, 5, 10]
+    levels = [1, 2, 4, 10]
     times = [t0] + [t0 + k * ((t1 - t0) / n) / 2
                     for n in levels for k in range(1, 2 * n + 1)]
     assert seen["lifting"] == times and seen["source"] == times
@@ -315,8 +328,8 @@ def test_etd_init_samples_data_once_per_stage_time(monkeypatch):
     first = seen["reaction"][0]
     assert sum(np.array_equal(v, first) for v in seen["reaction"]) == 1
     # the extrapolation of the plain scheme at the last two counts
-    u5, u10 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (5, 10))
-    assert np.abs(u - (u10 + (u10 - u5) / 15.0)).max() <= 1e-14
+    u4, u10 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (4, 10))
+    assert np.abs(u - (u10 + (u10 - u4) / (2.5**4 - 1))).max() <= 1e-14
 
 
 def kinked_problem():
@@ -330,20 +343,21 @@ def kinked_problem():
     return ProblemSpec(**{**base.__dict__, "source": kinked})
 
 
-@pytest.mark.parametrize("case, levels, power_of_two_stages", [
-    (2, [1, 2, 4, 18, 36], 393),
-    (4, [1, 2, 4, 8, 16], 105),
-    (6, [1, 2, 4, 5, 10], 105),
-    (10, [1, 2, 4, 3, 6], 57),
-    ("kinked", [1, 2, 4, 8, 16, 32], 232),
+@pytest.mark.parametrize("case, levels, stages, power_of_two_stages", [
+    (2, [1, 2, 4, 36], 169, 393),
+    (4, [1, 2, 4, 16], 89, 105),
+    (6, [1, 2, 4, 10], 65, 105),
+    (10, [1, 2, 4, 6], 49, 57),
+    ("kinked", [1, 2, 4, 8, 16, 32], 247, 232),
 ], ids=["M=2", "M=4", "M=6", "M=10", "kinked"])
 def test_etd_init_measures_the_order_before_it_jumps(monkeypatch, case, levels,
-                                                     power_of_two_stages):
+                                                     stages, power_of_two_stages):
     # stiff Example 1 starts at N = 32 over [0, 1/M], and the kinked source
     # over [0, 1/6]. After a miss at 2 substeps the start doubles to 4,
-    # then jumps to the smallest even count predicted at the measured
-    # order. Its stages stay within 15 of those marched by a jump straight
-    # to the power of two predicted at fourth order from the estimate at 2
+    # then jumps to the smallest count predicted at the measured order and
+    # pairs it with 4. Its stages stay within 15 of those marched by a jump
+    # straight to the power of two predicted at fourth order from the
+    # estimate at 2
     if case == "kinked":
         p, t1 = kinked_problem(), 1.0 / 6.0
     else:
@@ -353,7 +367,7 @@ def test_etd_init_measures_the_order_before_it_jumps(monkeypatch, case, levels,
     u, rec, marched = etd_levels(monkeypatch, p, g, 0.0, t1,
                                  eval_interior(p.initial, g))
     assert marched == levels
-    assert rec.nfev == stage_count(levels) <= power_of_two_stages + 15
+    assert rec.nfev == stage_count(levels) == stages <= power_of_two_stages + 15
     assert rec.estimate <= 1e-9 * max(1.0, float(np.abs(u).max()))
 
 
@@ -375,9 +389,53 @@ def test_etd_init_doubles_when_the_estimate_falls_slower_than_fourth_order(monke
     assert np.abs(u - (u32 + (u32 - u16) / 15.0)).max() <= 1e-14
 
 
+def test_etd_init_pairs_its_jump_with_the_probe(monkeypatch):
+    # the mms-starter interval: the miss at 4 substeps jumps to 10 and
+    # extrapolates the pair (4, 10) at the step ratio 2.5, marching no 5
+    p = example1()
+    g, t0, t1 = p.space_grid(48, 48), 0.0, 1.0 / 6.0
+    u0 = np.zeros(g.n_interior)
+    u, rec, levels = etd_levels(monkeypatch, p, g, t0, t1, u0)
+    assert levels == [1, 2, 4, 10] and rec.nfev == 65
+    u4, u10 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (4, 10))
+    delta = (u10 - u4) / (2.5**4 - 1)
+    assert np.abs(u - (u10 + delta)).max() <= 1e-14
+    assert rec.estimate == pytest.approx(float(np.abs(delta).max()), rel=1e-6)
+
+
+def test_etd_init_doubles_when_the_probe_order_does_not_round_to_four(monkeypatch):
+    # Example 2 over [0, T] at N = 128: the estimates at 2 and 4 substeps
+    # fall at order 3.36, so the start marches no wide pair and doubles
+    p = example2()
+    g, t0, t1 = p.space_grid(128, 128), 0.0, p.T
+    u0 = eval_interior(p.initial, g)
+    u, rec, levels = etd_levels(monkeypatch, p, g, t0, t1, u0)
+    assert levels == [1, 2, 4, 8, 16, 32, 64]
+    u1, u2, u4, u32, u64 = (etdrk4_fixed(p, g, t0, t1, u0, n)
+                            for n in (1, 2, 4, 32, 64))
+    q = math.log2(float(np.abs(u2 - u1).max()) / float(np.abs(u4 - u2).max()))
+    assert 3.0 < q < 3.5
+    assert np.abs(u - (u64 + (u64 - u32) / 15.0)).max() <= 1e-14
+    assert rec.estimate <= 1e-9
+
+
+@pytest.mark.parametrize("cap, levels", [(3, [1, 2, 3]), (6, [1, 2, 4, 6])])
+def test_etd_init_marches_no_count_past_the_cap(monkeypatch, cap, levels):
+    # on the mms-starter interval the probe count 4 and the jump to 10 are
+    # cut to the cap, and the start gives up once it has marched the cap
+    monkeypatch.setattr(stepper, "ETD_MAX_SUBSTEPS", cap)
+    p = example1()
+    g, t0, t1 = p.space_grid(48, 48), 0.0, 1.0 / 6.0
+    times = record_lifting_times(monkeypatch)
+    with pytest.raises(InitializationError,
+                       match=rf"still above target after {cap} substeps"):
+        etd_init(p, g, t0, t1, np.zeros(g.n_interior))
+    assert counts_marched(times, t0) == levels
+
+
 def test_etd_init_computes_each_phi_table_once(monkeypatch):
     # one table per substep size (t1 - t0) / n: the counts 1, 2, 4, 8 of
-    # the doublings up to the jump, then 5, 10, 20 from it, each table of a
+    # the doublings up to the jump, then 10, 20 from it, each table of a
     # doubling half the one before, down to half the final step
     seen = []
 
@@ -389,8 +447,8 @@ def test_etd_init_computes_each_phi_table_once(monkeypatch):
     p = example1()
     g = p.space_grid(48, 48)
     _, rec = etd_init(p, g, 0.0, 1.0 / 6.0, np.zeros(g.n_interior))
-    assert rec.levels == (1, 2, 4, 5, 10)
-    counts = [1, 2, 4, 8, 5, 10, 20]
+    assert rec.levels == (1, 2, 4, 10)
+    counts = [1, 2, 4, 8, 10, 20]
     assert len(seen) == len(counts)
     for z, n in zip(seen, counts):
         np.testing.assert_allclose(z, seen[0] / n, rtol=1e-15)
@@ -423,9 +481,9 @@ def test_integrate_reports_the_starter_that_ran():
     _, stiff = integrate(p, uniform_grid(1.0, 4), p.space_grid(32, 32), 2.0)
     assert stiff.starter.method == "etdrk4"
     assert stiff.starter.header().startswith("starter=etdrk4 nfev=")
-    assert stiff.starter.levels == (1, 2, 4, 8, 16)
+    assert stiff.starter.levels == (1, 2, 4, 16)
     assert stiff.starter.header() == (
-        "starter=etdrk4 nfev=120 levels=1,2,4,8,16 "
+        "starter=etdrk4 nfev=89 levels=1,2,4,16 "
         f"estimate={stiff.starter.estimate:.3e}")
     p = example2()
     _, wave = integrate(p, uniform_grid(1.0, 4), p.space_grid(10, 10), 2.0)
