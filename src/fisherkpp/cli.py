@@ -291,15 +291,21 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0
 
 
+def _digits(value: float) -> str:
+    """The short ``:g`` text of ``value`` if it reads back to it, else repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _beta_label(beta: float) -> str:
     for name, value in _SYMBOLIC.items():
-        if abs(beta - value) < 1e-14:
+        if beta == value:
             return name
-    return f"{beta:.6g}"
+    return _digits(beta)
 
 
 def _grid_label(gamma: float | None) -> str:
-    return "uniform" if gamma is None else f"gamma{gamma:g}"
+    return "uniform" if gamma is None else f"gamma{_digits(gamma)}"
 
 
 def cmd_convergence(cfg: RunConfig) -> int:

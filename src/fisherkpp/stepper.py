@@ -276,29 +276,26 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
     t0 + k h / 2, and the reaction, evaluated at each stage. The stage at
     (t0, u0) is the same for every substep count and is evaluated once.
 
-    The start marches substep counts 1, 2, 4, ..., each new count m
+    The start doubles through the probe counts 1, 2, 4, each new count m
     paired with the count n marched before it. With r = m / n, the
     Richardson estimate of the fourth-order result is
     E_m = |v_m - v_n| / (r**4 - 1), and once it is at most
     1e-9 * max(1, max|v_m|) the extrapolated v_m + (v_m - v_n) / (r**4 - 1)
-    is returned. A miss at 2 substeps doubles to 4, so that the start
-    measures the order q = log2(E_2 / E_4) at which its estimate falls.
-    Below 3.5, an order that does not round to ETDRK4's 4, the start is
-    in the order-reduced regime of stiff problems (Hochbruck & Ostermann,
-    SIAM J. Numer. Anal. 43, 2005), where a wide pair's fourth-order
-    estimate understates the error, and it doubles on: on the wave start
+    is returned. The probe measures the order q = min(4, log2(E_2 / E_4))
+    at which the estimate falls. If q is at least 3.5, a miss at 4 jumps
+    to the smallest count m > 4 with E_4 (4 / m)**q at most the target
+    and pairs it with 4. Below 3.5, an order that does not round to
+    ETDRK4's 4, the start is in the order-reduced regime of stiff problems
+    (Hochbruck & Ostermann, SIAM J. Numer. Anal. 43, 2005), where a wide
+    pair's fourth-order estimate understates the error: on the wave start
     at N = 512, M = 2, q = 2.86, the pair (4, 32) estimates 8.8e-10 where
-    the error is 1.3e-8. Otherwise a miss at 4 jumps to the smallest
-    count m with E_4 (4 / m)**min(q, 4) at most the target. After a later
-    miss, the estimate is predicted to fall by 2**4 per doubling, as a
-    fourth-order one does, and the start jumps to the first power-of-two
-    multiple of the count predicted to meet the target. No count goes
-    past that multiple or past ``ETD_MAX_SUBSTEPS``. On the
-    ``mms-starter`` interval (N = 48, [0, 1/6]) the estimates at 2 and 4
-    substeps, 5.8e-7 and 3.7e-8, give q = 3.98 and the pair (4, 10): 65
-    stages. The record's ``nfev`` counts stage evaluations, each one
-    reaction evaluation with an inverse and a forward sine transform:
-    the shared first stage, then 4n - 1 for each count n marched.
+    the error is 1.3e-8. Every other miss doubles. No count goes past
+    ``ETD_MAX_SUBSTEPS``. On the ``mms-starter`` interval (N = 48,
+    [0, 1/6]) the estimates at 2 and 4 substeps, 5.8e-7 and 3.7e-8, give
+    q = 3.98 and the pair (4, 10): 65 stages. The record's ``nfev``
+    counts stage evaluations, each one reaction evaluation with an
+    inverse and a forward sine transform: the shared first stage, then
+    4n - 1 for each count n marched.
 
     Raises
     ------
@@ -324,18 +321,23 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
 
     v0 = to_sine(np.asarray(u0, dtype=float), sgrid)
 
-    def tables(z):
-        return np.exp(z), phi_functions(z)
+    tables = {}
 
-    def march(n, full):
-        """n substeps, given ``tables(h * lam)`` for h = (t1 - t0) / n.
+    def table(n):
+        """e^(h lam) and the phi functions of h lam for h = (t1 - t0) / n.
+        The march at n asks for n and for 2n, its half step; the tables
+        of the two largest counts asked are kept."""
+        if n not in tables:
+            if len(tables) == 2:
+                del tables[min(tables)]
+            z = (t1 - t0) / n * lam
+            tables[n] = np.exp(z), phi_functions(z)
+        return tables[n]
 
-        Also returns ``tables(h * lam / 2)``, which are the full-step
-        tables of 2n substeps: halving is exact in binary floating point.
-        """
+    def march(n):
+        """v0 advanced by n substeps, back on the grid."""
         h = (t1 - t0) / n
-        half = tables(h * lam / 2)
-        (e, (p1, p2, p3)), (e2, (half_p1, _, _)) = full, half
+        (e, (p1, p2, p3)), (e2, (half_p1, _, _)) = table(n), table(2 * n)
         q = 0.5 * h * half_p1
         f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
         f2 = h * 2.0 * (p2 - 2.0 * p3)
@@ -360,16 +362,16 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
         u = from_sine(v, sgrid)
         if not np.isfinite(u).all():
             raise FloatingPointError(f"the field is not finite after {n} substeps")
-        return u, half
+        return u
 
     levels = [1]
     try:
         nv0 = n_hat(data(t0), v0)
-        coarse, half = march(1, tables((t1 - t0) * lam))
-        n, m, doubling = 1, 2, False
+        coarse = march(1)
+        n, m = 1, 2
         while m > n:
             levels.append(m)
-            fine, half = march(m, half if m == 2 * n else tables((t1 - t0) / m * lam))
+            fine = march(m)
             delta = (fine - coarse) / ((m / n) ** 4 - 1.0)
             estimate = float(np.abs(delta).max())
             target = 1e-9 * max(1.0, float(np.abs(fine).max()))
@@ -386,18 +388,11 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
                 # an order that does not round to 4 is ETDRK4's order
                 # reduction, where the fourth-order estimate of a wide
                 # pair understates the error: such a start doubles
-                doubling = q < 3.5
-            if n > 2 and not doubling:
-                # the first power-of-two multiple of the count, at most the
-                # cap, predicted to meet the target: a fourth-order estimate
-                # falls by r**4 when the count grows r-fold
-                while 2 * m <= ETD_MAX_SUBSTEPS and estimate > target * (m // n) ** 4:
-                    m *= 2
-                if n == 4:
-                    # the smallest count, up to that multiple, predicted to
-                    # meet the target at the measured order
-                    level, m = m, n + 1
-                    while m < level and estimate * (n / m) ** q > target:
+                if q >= 3.5:
+                    # the smallest count predicted to meet the target at
+                    # the measured order
+                    m = n + 1
+                    while m < ETD_MAX_SUBSTEPS and estimate * (n / m) ** q > target:
                         m += 1
             m = min(m, ETD_MAX_SUBSTEPS)
     except Exception as exc:
@@ -473,6 +468,10 @@ def bdf_imex_step(u_prev: np.ndarray, u_curr: np.ndarray, coeffs: StepCoefficien
     return result.x, result
 
 
+# the start and every step check their fields for finiteness, so numpy's
+# floating-point warnings would only repeat those checks, and a warning
+# made an error would cut them short with a cause of its own
+@np.errstate(all="ignore")
 def integrate(problem: ProblemSpec, tgrid: TimeGrid, sgrid: SpaceGrid,
               beta: float, starts: dict | None = None
               ) -> tuple[np.ndarray, RunReport]:

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,26 @@ def test_cmd_run_deterministic_artifacts(tmp_path):
     rows_b = (b / "report.csv").read_text().splitlines()
     strip = lambda rows: [",".join(r.split(",")[:4]) for r in rows]
     assert strip(rows_a) == strip(rows_b)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["--nx", "16", "-M", "10", "--beta", "1000"],
+     ["error: step 10 (t=1) failed",
+      "  cause: CG right-hand side is not finite (norm inf)"]),
+    (["--example", "wave", "--nx", "8", "-M", "4", "--t-final", "1e300"],
+     ["error: starter integration failed on [0.0, 2.5e+299]",
+      "  cause: the field is not finite after 2 substeps"]),
+], ids=["beta-1000", "t-final-1e300"])
+def test_diverging_run_stops_on_its_finiteness_check_without_warnings(
+        tmp_path, capsys, argv, lines):
+    # the fields overflow; the run stops where a field is checked, with the
+    # cause it gives from the shell, and numpy warns of nothing on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("run", *argv, "-o", str(tmp_path / "out")) == 1
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == lines
+    assert not (tmp_path / "out").exists()
 
 
 def never_integrate(monkeypatch):
@@ -553,7 +574,7 @@ def test_benchmark_sweep_calls_each_traced_name_once_per_integration(
 @pytest.mark.parametrize("flag, value, key, label", [
     ("--betas", "2,2,2.0", "betas", "2"),
     ("--betas", "1.4142135623730951,sqrt2", "betas", "sqrt2"),
-    ("--betas", "2,pi,2.0000001", "betas", "2"),
+    ("--betas", "2,pi,2.00000000000000001", "betas", "2"),
     ("--grids", "graded:0.75,graded:0.75", "grids", "gamma0.75"),
     ("--grids", "uniform,UNIFORM", "grids", "uniform"),
 ])
@@ -566,6 +587,23 @@ def test_convergence_rejects_repeated_output_labels(tmp_path, flag, value, key,
     assert capsys.readouterr().err == \
         f"config error: key {key!r} repeats the output label {label!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, names", [
+    ("--betas", "2,2.0000001",
+     ["temporal_beta2_uniform.csv", "temporal_beta2.0000001_uniform.csv"]),
+    ("--grids", "graded:0.75,graded:0.7500001",
+     ["temporal_beta2_gamma0.75.csv", "temporal_beta2_gamma0.7500001.csv"]),
+    ("--betas", "1.0000001", ["temporal_beta1.0000001_uniform.csv"]),
+], ids=["betas-2,2.0000001", "grids-0.75,0.7500001", "betas-1.0000001"])
+def test_output_labels_read_back_to_their_values(tmp_path, flag, value, names):
+    # a value whose 6-digit text reads back to another one is labelled by
+    # the digits of its repr, so distinct values write distinct tables
+    out = tmp_path / "out"
+    assert run_cli("convergence", "--nx", "8", "--sweep-m", "4,8",
+                   flag, value, "-o", str(out)) == 0
+    tables = sorted(p.name for p in out.iterdir() if not p.name.endswith("_plot.csv"))
+    assert tables == sorted(names)
 
 
 def test_repeated_labels_collected_with_the_others():

@@ -345,7 +345,7 @@ def kinked_problem():
 
 @pytest.mark.parametrize("case, levels, stages, power_of_two_stages", [
     (2, [1, 2, 4, 36], 169, 393),
-    (4, [1, 2, 4, 16], 89, 105),
+    (4, [1, 2, 4, 17], 93, 105),
     (6, [1, 2, 4, 10], 65, 105),
     (10, [1, 2, 4, 6], 49, 57),
     ("kinked", [1, 2, 4, 8, 16, 32], 247, 232),
@@ -372,10 +372,10 @@ def test_etd_init_measures_the_order_before_it_jumps(monkeypatch, case, levels,
 
 
 def test_etd_init_doubles_when_the_estimate_falls_slower_than_fourth_order(monkeypatch):
-    # the kink makes the estimates fall by about 4 a doubling, so the even
-    # count predicted from the estimates at 2 and 4 substeps is capped at
-    # the doubling predicted at fourth order, 8, which misses the target,
-    # and the start doubles on
+    # the estimates at 2 and 4 substeps fall faster than fourth order, so
+    # the miss at 4 jumps to 8, the smallest count predicted at order 4 to
+    # meet the target. Past 4 the kink makes the estimates fall by about 4
+    # a doubling: 8 and 16 miss, and each of those misses doubles
     p = kinked_problem()
     g, t0, t1 = p.space_grid(32, 32), 0.0, 1.0 / 6.0
     u0 = np.zeros(g.n_interior)
@@ -400,6 +400,21 @@ def test_etd_init_pairs_its_jump_with_the_probe(monkeypatch):
     u4, u10 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (4, 10))
     delta = (u10 - u4) / (2.5**4 - 1)
     assert np.abs(u - (u10 + delta)).max() <= 1e-14
+    assert rec.estimate == pytest.approx(float(np.abs(delta).max()), rel=1e-6)
+
+
+def test_etd_init_jumps_to_a_count_that_is_no_power_of_two(monkeypatch):
+    # Example 1 at N = 32 over [0, 1/4]: the miss at 4 substeps jumps to
+    # 17, one past the power of two 16 that a fourth-order estimate would
+    # round it to, and extrapolates the pair (4, 17) at the ratio 4.25
+    p = example1()
+    g, t0, t1 = p.space_grid(32, 32), 0.0, 0.25
+    u0 = eval_interior(p.initial, g)
+    u, rec, levels = etd_levels(monkeypatch, p, g, t0, t1, u0)
+    assert levels == [1, 2, 4, 17] and rec.nfev == 93
+    u4, u17 = (etdrk4_fixed(p, g, t0, t1, u0, n) for n in (4, 17))
+    delta = (u17 - u4) / (4.25**4 - 1)
+    assert np.abs(u - (u17 + delta)).max() <= 1e-14
     assert rec.estimate == pytest.approx(float(np.abs(delta).max()), rel=1e-6)
 
 
@@ -481,9 +496,9 @@ def test_integrate_reports_the_starter_that_ran():
     _, stiff = integrate(p, uniform_grid(1.0, 4), p.space_grid(32, 32), 2.0)
     assert stiff.starter.method == "etdrk4"
     assert stiff.starter.header().startswith("starter=etdrk4 nfev=")
-    assert stiff.starter.levels == (1, 2, 4, 16)
+    assert stiff.starter.levels == (1, 2, 4, 17)
     assert stiff.starter.header() == (
-        "starter=etdrk4 nfev=89 levels=1,2,4,16 "
+        "starter=etdrk4 nfev=93 levels=1,2,4,17 "
         f"estimate={stiff.starter.estimate:.3e}")
     p = example2()
     _, wave = integrate(p, uniform_grid(1.0, 4), p.space_grid(10, 10), 2.0)
