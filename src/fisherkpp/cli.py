@@ -287,7 +287,7 @@ def cmd_run(cfg: RunConfig) -> int:
         fh.write("Linf,L2\n")
         fh.write(f"{linf!r},{l2!r}\n")
     print(f"{cfg.example}: M={tgrid.M} N={cfg.nx}x{cfg.resolved_ny()} "
-          f"beta={cfg.beta:.6g} {tgrid.kind}: Linf={linf:.6e} L2={l2:.6e}")
+          f"beta={_beta_label(cfg.beta)} {tgrid.kind}: Linf={linf:.6e} L2={l2:.6e}")
     return 0
 
 

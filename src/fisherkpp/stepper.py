@@ -321,24 +321,14 @@ def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
 
     v0 = to_sine(np.asarray(u0, dtype=float), sgrid)
 
-    tables = {}
-
-    def table(n):
-        """e^(h lam) and the phi functions of h lam for h = (t1 - t0) / n.
-        The march at n asks for n and for 2n, its half step; the tables
-        of the two largest counts asked are kept."""
-        if n not in tables:
-            if len(tables) == 2:
-                del tables[min(tables)]
-            z = (t1 - t0) / n * lam
-            tables[n] = np.exp(z), phi_functions(z)
-        return tables[n]
-
     def march(n):
         """v0 advanced by n substeps, back on the grid."""
         h = (t1 - t0) / n
-        (e, (p1, p2, p3)), (e2, (half_p1, _, _)) = table(n), table(2 * n)
-        q = 0.5 * h * half_p1
+        z = h * lam
+        e, e2 = np.exp(z), np.exp(z / 2)
+        p1, p2, p3 = phi_functions(z)
+        # (h / 2) phi_1(z / 2), from e^z - 1 = (e^(z/2) - 1)(e^(z/2) + 1)
+        q = h * p1 / (e2 + 1.0)
         f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
         f2 = h * 2.0 * (p2 - 2.0 * p3)
         f3 = h * (4.0 * p3 - p2)

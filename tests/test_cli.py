@@ -160,6 +160,15 @@ def test_cmd_run_wave_example(tmp_path):
     assert len(vals) == 9 * 9
 
 
+@pytest.mark.parametrize("beta", ["2.0000001", "pi"])
+def test_cmd_run_line_keeps_the_digits_of_beta(tmp_path, capsys, beta):
+    # the label of the convergence tables, not a 6-digit rounding
+    assert run_cli("run", "--example", "wave", "--nx", "8", "-M", "4",
+                   "--beta", beta, "-o", str(tmp_path / "out")) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith(f"wave: M=4 N=8x8 beta={beta} uniform: Linf=")
+
+
 def test_cmd_run_deterministic_artifacts(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

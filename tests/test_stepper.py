@@ -205,8 +205,12 @@ def test_dp54_fails_on_a_right_hand_side_that_is_not_finite():
 
 # ----------------------------------------------------------------- etd_init
 
-@pytest.mark.parametrize("z", [0.0, -1e-12, -1e-3, -0.5, -0.999999, -1.0,
-                               -1.000001, -3.0, -40.0, -1e4, -1e12])
+# both sides of the Taylor branch's |z| < 1, and the closed forms' far end
+PHI_ZS = [0.0, -1e-12, -1e-3, -0.5, -0.999999, -1.0, -1.000001, -3.0, -40.0,
+          -1e4, -1e12]
+
+
+@pytest.mark.parametrize("z", PHI_ZS)
 def test_phi_functions_match_high_precision(z):
     with mp.workdps(80):  # the closed form cancels 36 digits at z = -1e-12
         zm = mp.mpf(z)
@@ -449,9 +453,9 @@ def test_etd_init_marches_no_count_past_the_cap(monkeypatch, cap, levels):
 
 
 def test_etd_init_computes_each_phi_table_once(monkeypatch):
-    # one table per substep size (t1 - t0) / n: the counts 1, 2, 4, 8 of
-    # the doublings up to the jump, then 10, 20 from it, each table of a
-    # doubling half the one before, down to half the final step
+    # one phi evaluation per marched count n, at z = h lam for
+    # h = (t1 - t0) / n: the counts 1, 2, 4 of the doublings, then 10 from
+    # the jump; the half step's phi_1 comes from the doubling identity
     seen = []
 
     def counting(z):
@@ -463,13 +467,25 @@ def test_etd_init_computes_each_phi_table_once(monkeypatch):
     g = p.space_grid(48, 48)
     _, rec = etd_init(p, g, 0.0, 1.0 / 6.0, np.zeros(g.n_interior))
     assert rec.levels == (1, 2, 4, 10)
-    counts = [1, 2, 4, 8, 10, 20]
+    counts = [1, 2, 4, 10]
     assert len(seen) == len(counts)
     for z, n in zip(seen, counts):
         np.testing.assert_allclose(z, seen[0] / n, rtol=1e-15)
     for (coarse, fine), (n, m) in zip(zip(seen, seen[1:]), zip(counts, counts[1:])):
         if m == 2 * n:
             assert np.array_equal(fine, coarse / 2)
+
+
+def test_half_step_phi1_from_the_doubling_identity():
+    # phi_1(z / 2) = 2 phi_1(z) / (e^(z/2) + 1), since
+    # e^z - 1 = (e^(z/2) - 1)(e^(z/2) + 1): the denominator lies in [1, 2]
+    p = example1()
+    g = p.space_grid(48, 48)
+    lam = (p.D * g.laplacian_eigenvalues).ravel()
+    zs = np.concatenate([PHI_ZS, *[1.0 / 6.0 / n * lam for n in (1, 2, 4, 10)]])
+    got = 2.0 * phi_functions(zs)[0] / (np.exp(zs / 2) + 1.0)
+    np.testing.assert_allclose(got, phi_functions(zs / 2)[0],
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def benchmark_start(problem, n, tgrid):
