@@ -24,8 +24,7 @@ import numpy as np
 
 from .spatial import (
     SpaceGrid,
-    _laplacian_plan,
-    _stencil,
+    _bind_stencil,
     check_field,
     from_sine,
     to_sine,
@@ -119,15 +118,15 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray,
     if not math.isfinite(b_norm):
         raise SolveFailure(f"CG right-hand side is not finite (norm {b_norm})")
     x = np.zeros_like(rhs) if x0 is None else check_field(x0, op.grid).copy()
-    # work buffers and the stencil's plan for the whole solve: an
+    # work buffers and the stencil bound to them for the whole solve: an
     # iteration allocates nothing and builds no views (the ufuncs take
     # their output positionally, as in the stencil)
     p, q, w = np.empty_like(rhs), np.empty_like(rhs), np.empty_like(rhs)
-    plan = _laplacian_plan(p, op.grid, q, w, op.sigma, op.kappa)
-    # the operator applied to x goes into q through p, so that one plan
-    # serves the initial residual too
+    stencil = _bind_stencil(p, op.grid, q, w, op.sigma, op.kappa)
+    # the operator applied to x goes into q through p, so that one bound
+    # stencil serves the initial residual too
     np.copyto(p, x)
-    r = rhs - _stencil(plan)
+    r = rhs - stencil()
     rr = float(r @ r)
     np.copyto(p, r)
 
@@ -143,7 +142,7 @@ def cg_solve(op: ShiftedOperator, rhs: np.ndarray,
                 f"CG stalled at relative residual {res / b_norm:.3e} "
                 f"after {k} iterations (target {TOL:g})"
             )
-        _stencil(plan)
+        stencil()
         alpha = rr / float(p @ q)
         x += np.multiply(p, alpha, w)
         r -= np.multiply(q, alpha, w)
@@ -168,8 +167,8 @@ def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> CGResult:
     NaN.
 
     Returns a ``CGResult`` of 0 iterations whose residual is
-    ||rhs - op x||_2, run on the operator's own stencil plan, as CG takes
-    its initial residual.
+    ||rhs - op x||_2, run on the operator's own stencil, as CG takes its
+    initial residual.
 
     Raises
     ------
@@ -187,7 +186,7 @@ def direct_solve_small(op: ShiftedOperator, rhs: np.ndarray) -> CGResult:
     shift = op.sigma - op.kappa * op.grid.laplacian_eigenvalues
     x = from_sine(to_sine(rhs, op.grid) / shift, op.grid)
     out, work = np.empty_like(rhs), np.empty_like(rhs)
-    r = rhs - _stencil(_laplacian_plan(x, op.grid, out, work, op.sigma, op.kappa))
+    r = rhs - _bind_stencil(x, op.grid, out, work, op.sigma, op.kappa)()
     res = math.sqrt(np.vdot(r, r))
     if not math.isfinite(res):
         raise SolveFailure("sine-basis solve residual is not finite")

@@ -158,35 +158,21 @@ def apply_laplacian(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:
     u = check_field(u, grid)
     out, work = np.empty(grid.n_interior), np.empty(grid.n_interior)
     # sigma = 0, kappa = -1 gives the weights -2 (ax + ay), ax, ay exactly
-    return _stencil(_laplacian_plan(u, grid, out, work, 0.0, -1.0))
+    return _bind_stencil(u, grid, out, work, 0.0, -1.0)()
 
 
-def _laplacian_plan(u: np.ndarray, grid: SpaceGrid, out: np.ndarray,
-                    work: np.ndarray, sigma: float, kappa: float) -> tuple:
-    """What ``_stencil`` needs to write sigma * u - kappa * L u into ``out``.
+def _bind_stencil(u: np.ndarray, grid: SpaceGrid, out: np.ndarray,
+                  work: np.ndarray, sigma: float, kappa: float):
+    """A zero-argument function that writes sigma * u - kappa * L u into
+    ``out`` and returns ``out``.
 
-    A plain tuple of the stencil weights and of views of the three
-    buffers: ``out`` receives the result and ``work`` serves as scratch,
-    1D float fields of the interior's length that share no memory with
-    ``u`` or with each other. A plan stays valid while its buffers live,
-    so a caller that rewrites ``u`` in place, as CG does, builds it once
-    and runs the stencil on it again and again. The weights are
-    sigma + 2 kappa (ax + ay) at the centre and -kappa ax, -kappa ay at
-    the neighbours along x and y, with ax = 1/hx^2 and ay = 1/hy^2.
-    """
-    cols = grid.nx - 1
-    ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
-    last, first = slice(cols - 1, None, cols), slice(0, None, cols)
-    # each out view holds the nodes that have an entry to the left (right,
-    # below, above) in the flat field, the work view after it that entry
-    return (u, out, work, sigma + 2.0 * kappa * (ax + ay), -kappa * ax,
-            -kappa * ay, u[last], work[last], work[first],
-            out[1:], work[:-1], out[:-1], work[1:],
-            out[cols:], work[:-cols], out[:-cols], work[cols:])
-
-
-def _stencil(plan: tuple) -> np.ndarray:
-    """Run a ``_laplacian_plan``; returns its ``out``.
+    ``out`` and ``work`` (scratch) are 1D float fields of the interior's
+    length that share no memory with ``u`` or with each other. The
+    function reads ``u`` when called, so a caller that rewrites ``u`` in
+    place, as CG does, binds once and calls it again and again. The
+    weights are sigma + 2 kappa (ax + ay) at the centre and -kappa ax,
+    -kappa ay at the neighbours along x and y, with ax = 1/hx^2 and
+    ay = 1/hy^2.
 
     The neighbour terms are shifts of the flat field, by one entry along
     x and by one row along y: unit-stride loops, where 2D column slices
@@ -196,23 +182,35 @@ def _stencil(plan: tuple) -> np.ndarray:
     turns -0.0 into +0.0. Each node adds its terms centre, left, right,
     below, above.
     """
-    (u, out, work, centre, wx, wy, u_last, work_last, work_first,
-     has_left, left, has_right, right, has_below, below, has_above, above) = plan
-    # the ufuncs take their output positionally, which on small grids is
-    # measurably cheaper than the out= keyword
-    np.multiply(centre, u, out)
-    # one scaled copy per axis, reused for both neighbours along it
-    np.multiply(wx, u, work)
-    work_last.fill(-0.0)
-    np.add(has_left, left, has_left)
-    # the right shift wraps the first column instead of the last
-    np.multiply(wx, u_last, work_last)
-    work_first.fill(-0.0)
-    np.add(has_right, right, has_right)
-    np.multiply(wy, u, work)
-    np.add(has_below, below, has_below)
-    np.add(has_above, above, has_above)
-    return out
+    cols = grid.nx - 1
+    ax, ay = 1.0 / grid.hx**2, 1.0 / grid.hy**2
+    centre, wx, wy = sigma + 2.0 * kappa * (ax + ay), -kappa * ax, -kappa * ay
+    last, first = slice(cols - 1, None, cols), slice(0, None, cols)
+    u_last, work_last, work_first = u[last], work[last], work[first]
+    # each out view holds the nodes that have an entry to the left (right,
+    # below, above) in the flat field, the work view after it that entry
+    has_left, left, has_right, right = out[1:], work[:-1], out[:-1], work[1:]
+    has_below, below = out[cols:], work[:-cols]
+    has_above, above = out[:-cols], work[cols:]
+
+    def stencil() -> np.ndarray:
+        # the ufuncs take their output positionally, which on small grids
+        # is measurably cheaper than the out= keyword
+        np.multiply(centre, u, out)
+        # one scaled copy per axis, reused for both neighbours along it
+        np.multiply(wx, u, work)
+        work_last.fill(-0.0)
+        np.add(has_left, left, has_left)
+        # the right shift wraps the first column instead of the last
+        np.multiply(wx, u_last, work_last)
+        work_first.fill(-0.0)
+        np.add(has_right, right, has_right)
+        np.multiply(wy, u, work)
+        np.add(has_below, below, has_below)
+        np.add(has_above, above, has_above)
+        return out
+
+    return stencil
 
 
 def to_sine(u: np.ndarray, grid: SpaceGrid) -> np.ndarray:

@@ -241,27 +241,27 @@ def rk_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,
 def phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi_1, phi_2, phi_3 of real z <= 0, elementwise.
 
-    phi_k(z) = sum_j z^j / (j + k)!. A 20-term Taylor sum serves |z| < 1,
-    where the closed forms cancel; elsewhere phi_1 = expm1(z) / z and
-    phi_{k+1} = (phi_k - 1/k!) / z lose at most a few ulps.
+    phi_k(z) = sum_j z^j / (j + k)!. Where |z| < 1 the closed forms
+    cancel, so a 20-term Taylor sum gives phi_3 there, and phi_2 =
+    z phi_3 + 1/2, phi_1 = z phi_2 + 1 follow from it. Elsewhere phi_1 =
+    expm1(z) / z and phi_{k+1} = (phi_k - 1/k!) / z lose at most a few ulps.
     """
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < 1.0
     zs = z[small]
     zl = np.where(small, -1.0, z)
-    phis = []
-    for k in (1, 2, 3):
-        if k == 1:
-            phi = np.expm1(zl) / zl
-        else:
-            phi = (phis[-1] - 1.0 / math.factorial(k - 1)) / zl
-        # Horner sum of z^j / (j + k)! for j < 20, on the small entries only
-        taylor = np.full_like(zs, 1.0 / math.factorial(19 + k))
-        for j in range(18, -1, -1):
-            taylor = taylor * zs + 1.0 / math.factorial(j + k)
-        phi[small] = taylor
-        phis.append(phi)
-    return phis[0], phis[1], phis[2]
+    phi1 = np.expm1(zl) / zl
+    phi2 = (phi1 - 1.0) / zl
+    phi3 = (phi2 - 0.5) / zl
+    # Horner sum of z^j / (j + 3)! for j < 20, on the small entries only
+    taylor = np.full_like(zs, 1.0 / math.factorial(22))
+    for j in range(18, -1, -1):
+        taylor = taylor * zs + 1.0 / math.factorial(j + 3)
+    phi3[small] = taylor
+    taylor = taylor * zs + 0.5
+    phi2[small] = taylor
+    phi1[small] = taylor * zs + 1.0
+    return phi1, phi2, phi3
 
 
 def etd_init(problem: ProblemSpec, sgrid: SpaceGrid, t0: float, t1: float,

@@ -105,7 +105,7 @@ CG_SIZES = [(2, 2), (3, 5), (16, 16), (47, 33), (160, 160)]
 def test_plan_applies_the_shifted_operator_within_rounding(nx, ny):
     # the weights sigma + 2 kappa (ax + ay), -kappa ax, -kappa ay against
     # sigma v - kappa (I (x) A_x + A_y (x) I) v through the dense Kronecker
-    # factors. A term meets at most 8 roundings of eps/2 in the plan (3 in
+    # factors. A term meets at most 8 roundings of eps/2 in the stencil (3 in
     # the centre weight, its product, 4 sums) and 6 on the Kronecker side,
     # each relative to a partial sum of |A| |v|, so to first order the two
     # differ by at most 7 eps (sigma |v| + kappa |L| |v|); measured: 2.7 eps
@@ -115,7 +115,7 @@ def test_plan_applies_the_shifted_operator_within_rounding(nx, ny):
     out, work = np.empty(g.n_interior), np.empty(g.n_interior)
     for sigma, kappa in ((250.0, 2.0), (3.0, 0.5), (1.0, 0.0), (1e-6, 1.0)):
         v = rng.standard_normal(g.n_interior)
-        got = spatial._stencil(spatial._laplacian_plan(v, g, out, work, sigma, kappa))
+        got = spatial._bind_stencil(v, g, out, work, sigma, kappa)()
         want = sigma * v - kappa * kronecker_matvec(a_x, a_y, v)
         size = sigma * np.abs(v) + kappa * kronecker_matvec(np.abs(a_x), np.abs(a_y),
                                                              np.abs(v))
@@ -141,17 +141,17 @@ def test_iterates_match_allocating_reference(nx, ny):
 
 
 def test_cg_builds_its_stencil_plan_once(monkeypatch):
-    # the plan's views serve every iteration of a solve, however many
+    # one bound stencil serves every iteration of a solve, however many
     rng = np.random.default_rng(23)
     op = operator(16, sigma=1.0, kappa=1.0)
     rhs = rng.standard_normal(op.grid.n_interior)
-    plans, build = [], linsolve._laplacian_plan
+    plans, build = [], linsolve._bind_stencil
 
     def counting(*args):
         plans.append(args)
         return build(*args)
 
-    monkeypatch.setattr(linsolve, "_laplacian_plan", counting)
+    monkeypatch.setattr(linsolve, "_bind_stencil", counting)
     iterations = []
     for tol in (1e-2, 1e-6, 1e-12):
         plans.clear()

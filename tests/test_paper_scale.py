@@ -3,9 +3,10 @@
 Opt-in: set ``FISHERKPP_PAPER_SCALE=1`` to run them; otherwise they are
 skipped. Each runs ``python -m fisherkpp.cli run`` in a child process with
 one OpenMP/BLAS thread and prints its spawn-to-exit wall time, minor page
-faults, peak resident set and Linf error. Only the Linf error is asserted,
-against the value the solver gives at the time of writing; wall time and
-faults are printed for the reader (``pytest -s``), never asserted.
+faults, peak resident set, Linf error and the starter line of its
+``report.csv`` (``starter=... nfev=... levels=...``). Only the Linf error
+is asserted, against the value the solver gives at the time of writing;
+the rest is printed for the reader (``pytest -s``), never asserted.
 """
 
 import os
@@ -42,6 +43,8 @@ def test_paper_scale_run(tmp_path, example, linf_ref):
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     linf = float((out / "errors.csv").read_text().splitlines()[-1].split(",")[0])
+    (starter,) = [line[2:] for line in (out / "report.csv").read_text().splitlines()
+                  if line.startswith("# starter=")]
     # ru_maxrss of the children is the largest child so far: it is this
     # child's peak only when it grew
     grew = after.ru_maxrss > before.ru_maxrss
@@ -49,5 +52,5 @@ def test_paper_scale_run(tmp_path, example, linf_ref):
           f"minor_faults={after.ru_minflt - before.ru_minflt} "
           f"sys={after.ru_stime - before.ru_stime:.3f}s "
           f"peak_rss={'' if grew else '<='}{after.ru_maxrss / 1024:.1f}MB "
-          f"Linf={linf!r}")
+          f"Linf={linf!r} {starter}")
     assert abs(linf - linf_ref) <= 1e-9 + 1e-6 * linf_ref

@@ -57,3 +57,28 @@ def test_every_benchmark_configuration_meets_its_references(tmp_path, monkeypatc
                 assert run.within_tolerance(found[key], ref), (name, key, found[key], ref)
                 checked += 1
     assert checked == 3 + 3 + 9
+
+
+def test_benchmark_command_lines_reproduce_their_artifacts(tmp_path, monkeypatch):
+    # each workload's command line at beta = 2, run twice in one process:
+    # every artifact repeats byte for byte, report.csv up to its timing column
+    run = load_run_module(monkeypatch)
+    for name, spec in run.WORKLOADS.items():
+        beta_flag = "--beta" if spec["command"] == "run" else "--betas"
+        argv = [spec["command"], *spec["args"], beta_flag, "2"]
+        first, second = tmp_path / f"{name}-a", tmp_path / f"{name}-b"
+        for out in (first, second):
+            assert main([*argv, "-o", str(out)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        if spec["command"] == "run":
+            assert names == ["errors.csv", "field.csv", "report.csv"]
+        else:
+            assert names == ["temporal_beta2_gamma0.75.csv",
+                             "temporal_beta2_gamma0.75_plot.csv"]
+        for artifact in names:
+            a, b = (first / artifact).read_bytes(), (second / artifact).read_bytes()
+            if artifact == "report.csv":
+                a, b = ([line.split(b",")[:4] for line in text.splitlines()]
+                        for text in (a, b))
+            assert a == b, (name, artifact)

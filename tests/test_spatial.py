@@ -8,8 +8,7 @@ from fisherkpp.analysis import exact_final_field
 from fisherkpp.problems import example1, example2
 from fisherkpp.spatial import (
     SpaceGrid,
-    _laplacian_plan,
-    _stencil,
+    _bind_stencil,
     apply_laplacian,
     boundary_contribution,
     eval_interior,
@@ -308,7 +307,7 @@ def test_lifting_and_laplacian_match_slice_forms_bit_for_bit(name, nx, ny):
         assert np.array_equal(apply_laplacian(u, g).view(np.uint64), want)
         # the path CG runs on its own buffers writes every entry of them
         out, work = np.full(g.n_interior, np.nan), np.full(g.n_interior, np.nan)
-        assert _stencil(_laplacian_plan(u, g, out, work, 0.0, -1.0)) is out
+        assert _bind_stencil(u, g, out, work, 0.0, -1.0)() is out
         assert np.array_equal(out.view(np.uint64), want)
         assert np.array_equal(u.view(np.uint64), u_before.view(np.uint64))
 

@@ -210,17 +210,34 @@ PHI_ZS = [0.0, -1e-12, -1e-3, -0.5, -0.999999, -1.0, -1.000001, -3.0, -40.0,
           -1e4, -1e12]
 
 
-@pytest.mark.parametrize("z", PHI_ZS)
-def test_phi_functions_match_high_precision(z):
+def phi_high_precision(z):
+    """phi_1(z), phi_2(z), phi_3(z) from their closed forms at 80 digits."""
     with mp.workdps(80):  # the closed form cancels 36 digits at z = -1e-12
         zm = mp.mpf(z)
         # phi_k(z) = (e^z - sum_{j<k} z^j / j!) / z^k, phi_k(0) = 1/k!
-        want = [1 / mp.factorial(k) if z == 0 else
-                (mp.exp(zm) - sum(zm**j / mp.factorial(j) for j in range(k))) / zm**k
+        return [float(1 / mp.factorial(k) if z == 0 else
+                      (mp.exp(zm) - sum(zm**j / mp.factorial(j) for j in range(k)))
+                      / zm**k)
                 for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("z", PHI_ZS)
+def test_phi_functions_match_high_precision(z):
+    want = phi_high_precision(z)
     got = phi_functions(np.array([z]))
     for k in range(3):
-        assert got[k][0] == pytest.approx(float(want[k]), rel=1e-14, abs=1e-300)
+        assert got[k][0] == pytest.approx(want[k], rel=1e-14, abs=1e-300)
+
+
+def test_phi_functions_taylor_branch_matches_high_precision():
+    # the Taylor branch, densely: every |z| < 1 entry takes phi_2 and phi_1
+    # from the sum for phi_3
+    zs = np.linspace(-0.999999, 0.0, 201)
+    got = phi_functions(zs)
+    for i, z in enumerate(zs.tolist()):
+        want = phi_high_precision(z)
+        for k in range(3):
+            assert got[k][i] == pytest.approx(want[k], rel=1e-14, abs=1e-300), (z, k)
 
 
 def test_phi_functions_mixed_array_matches_single_values():
@@ -682,18 +699,22 @@ def test_step_runs_the_stencil_twice_besides_cg_iterations(monkeypatch):
     p = example2()
     g = p.space_grid(12, 9)
     runs, given = [], []
-    stencil = spatial._stencil
+    bind = spatial._bind_stencil
 
-    def counting(plan):
-        runs.append(plan)
-        return stencil(plan)
+    def counting(*args):
+        stencil = bind(*args)
+
+        def run():
+            runs.append(args)
+            return stencil()
+        return run
 
     def recording_cg(op, rhs, **kwargs):
         given.append(kwargs)
         return cg_solve(op, rhs, **kwargs)
 
-    monkeypatch.setattr(spatial, "_stencil", counting)
-    monkeypatch.setattr(linsolve, "_stencil", counting)
+    monkeypatch.setattr(spatial, "_bind_stencil", counting)
+    monkeypatch.setattr(linsolve, "_bind_stencil", counting)
     monkeypatch.setattr(stepper, "cg_solve", recording_cg)
     rng = np.random.default_rng(5)
     u_prev, u_curr = rng.uniform(0.0, 1.0, (2, g.n_interior))
